@@ -1,10 +1,6 @@
 #include "src/algo/edge_iterator.h"
 
-#include <span>
-#include <type_traits>
-
-#include "src/algo/sei_common.h"
-#include "src/algo/simd/intersect_engine.h"
+#include "src/algo/kernel_body.h"
 
 namespace trilist {
 
@@ -12,37 +8,6 @@ using sei::PrefixBelow;
 using sei::SuffixAbove;
 
 namespace {
-
-/// Hook-free tag: `if constexpr` removes every attribution statement, so
-/// the default instantiations compile to exactly the pre-hook kernels.
-struct NoHook {};
-
-template <typename Hook>
-constexpr bool kHooked = !std::is_same_v<Hook, NoHook>;
-
-/// Default intersection policy: the shared scalar merge, with the hub and
-/// window arguments compiled away — the zero-overhead path every caller
-/// without an engine gets (bit-identical to the pre-backend kernels).
-struct DirectMerge {
-  template <typename Emit>
-  void operator()(std::span<const NodeId> a, simd::SpanOwner,
-                  std::span<const NodeId> b, simd::SpanOwner, NodeId,
-                  NodeId, int64_t* comparisons, Emit&& emit) const {
-    sei::MergeIntersect(a, b, comparisons, emit);
-  }
-};
-
-/// Engine-backed policy: routes every intersection, with its row owners
-/// and value window, through the selected backend.
-struct EngineIsect {
-  simd::IntersectEngine* engine;
-  template <typename Emit>
-  void operator()(std::span<const NodeId> a, simd::SpanOwner oa,
-                  std::span<const NodeId> b, simd::SpanOwner ob, NodeId lo,
-                  NodeId hi, int64_t* comparisons, Emit&& emit) const {
-    engine->Intersect(a, oa, b, ob, lo, hi, comparisons, emit);
-  }
-};
 
 // Attribution (Table 1): the local range is charged to the node whose
 // list it is (always the outer node, accumulated across its arcs); the
@@ -52,38 +17,8 @@ struct EngineIsect {
 // spans are row restrictions to one label interval — [0, y) for E1/E2,
 // (y, n) for E3/E5, (x, z) for E4/E6.
 
-template <typename Hook, typename Isect>
-OpCounts RunE1Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
-                   Isect isect) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t zi = 0; zi < n; ++zi) {
-    const auto z = static_cast<NodeId>(zi);
-    const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] int64_t local_total = 0;
-    for (size_t idx = 0; idx < out.size(); ++idx) {
-      const NodeId y = out[idx];
-      const auto local = out.first(idx);  // elements of N+(z) below y
-      const auto remote = g.OutNeighbors(y);
-      ops.local_scans += static_cast<int64_t>(local.size());
-      ops.remote_scans += static_cast<int64_t>(remote.size());
-      if constexpr (kHooked<Hook>) {
-        local_total += static_cast<int64_t>(local.size());
-        hook->Record(y, static_cast<int64_t>(remote.size()));
-      }
-      isect(local, {z, true}, remote, {y, true}, 0, y,
-            &ops.merge_comparisons, [&](NodeId x) {
-              ++ops.triangles;
-              sink->Consume(x, y, z);
-            });
-    }
-    if constexpr (kHooked<Hook>) hook->Record(z, local_total);
-  }
-  return ops;
-}
-
-template <typename Hook, typename Isect>
-OpCounts RunE2Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
+template <typename Emit, typename Hook, typename Isect>
+OpCounts RunE2Impl(const OrientedGraph& g, Emit emit, Hook hook,
                    Isect isect) {
   OpCounts ops;
   const size_t n = g.num_nodes();
@@ -102,7 +37,7 @@ OpCounts RunE2Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
       isect(local, {y, true}, remote, {z, true}, 0, y,
             &ops.merge_comparisons, [&](NodeId x) {
               ++ops.triangles;
-              sink->Consume(x, y, z);
+              emit(x, y, z);
             });
     }
     if constexpr (kHooked<Hook>) hook->Record(y, local_total);
@@ -110,8 +45,8 @@ OpCounts RunE2Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
   return ops;
 }
 
-template <typename Hook, typename Isect>
-OpCounts RunE3Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
+template <typename Emit, typename Hook, typename Isect>
+OpCounts RunE3Impl(const OrientedGraph& g, Emit emit, Hook hook,
                    Isect isect) {
   OpCounts ops;
   const size_t n = g.num_nodes();
@@ -132,7 +67,7 @@ OpCounts RunE3Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
       isect(local, {x, false}, remote, {y, false}, y + 1,
             static_cast<NodeId>(n), &ops.merge_comparisons, [&](NodeId z) {
               ++ops.triangles;
-              sink->Consume(x, y, z);
+              emit(x, y, z);
             });
     }
     if constexpr (kHooked<Hook>) hook->Record(x, local_total);
@@ -140,38 +75,8 @@ OpCounts RunE3Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
   return ops;
 }
 
-template <typename Hook, typename Isect>
-OpCounts RunE4Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
-                   Isect isect) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t zi = 0; zi < n; ++zi) {
-    const auto z = static_cast<NodeId>(zi);
-    const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] int64_t local_total = 0;
-    for (size_t idx = 0; idx < out.size(); ++idx) {
-      const NodeId x = out[idx];
-      const auto local = out.subspan(idx + 1);  // y candidates above x
-      const auto remote = PrefixBelow(g.InNeighbors(x), z);
-      ops.local_scans += static_cast<int64_t>(local.size());
-      ops.remote_scans += static_cast<int64_t>(remote.size());
-      if constexpr (kHooked<Hook>) {
-        local_total += static_cast<int64_t>(local.size());
-        hook->Record(x, static_cast<int64_t>(remote.size()));
-      }
-      isect(local, {z, true}, remote, {x, false}, x + 1, z,
-            &ops.merge_comparisons, [&](NodeId y) {
-              ++ops.triangles;
-              sink->Consume(x, y, z);
-            });
-    }
-    if constexpr (kHooked<Hook>) hook->Record(z, local_total);
-  }
-  return ops;
-}
-
-template <typename Hook, typename Isect>
-OpCounts RunE5Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
+template <typename Emit, typename Hook, typename Isect>
+OpCounts RunE5Impl(const OrientedGraph& g, Emit emit, Hook hook,
                    Isect isect) {
   OpCounts ops;
   const size_t n = g.num_nodes();
@@ -193,7 +98,7 @@ OpCounts RunE5Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
       isect(local, {y, false}, remote, {x, false}, y + 1,
             static_cast<NodeId>(n), &ops.merge_comparisons, [&](NodeId z) {
               ++ops.triangles;
-              sink->Consume(x, y, z);
+              emit(x, y, z);
             });
     }
     if constexpr (kHooked<Hook>) hook->Record(y, local_total);
@@ -201,8 +106,8 @@ OpCounts RunE5Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
   return ops;
 }
 
-template <typename Hook, typename Isect>
-OpCounts RunE6Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
+template <typename Emit, typename Hook, typename Isect>
+OpCounts RunE6Impl(const OrientedGraph& g, Emit emit, Hook hook,
                    Isect isect) {
   OpCounts ops;
   const size_t n = g.num_nodes();
@@ -224,7 +129,7 @@ OpCounts RunE6Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
       isect(local, {x, false}, remote, {z, true}, x + 1, z,
             &ops.merge_comparisons, [&](NodeId y) {
               ++ops.triangles;
-              sink->Consume(x, y, z);
+              emit(x, y, z);
             });
     }
     if constexpr (kHooked<Hook>) hook->Record(x, local_total);
@@ -232,18 +137,18 @@ OpCounts RunE6Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
   return ops;
 }
 
-/// Four-way dispatch shared by the six public pairs: hooked or not,
-/// engine-backed or the direct merge path.
-template <typename Impl>
-OpCounts Dispatch(Impl impl, NodeOpsHook* hook,
-                  simd::IntersectEngine* engine) {
-  if (engine != nullptr &&
-      engine->backend() != IntersectBackend::kMerge) {
-    return hook != nullptr ? impl(hook, EngineIsect{engine})
-                           : impl(NoHook{}, EngineIsect{engine});
-  }
-  return hook != nullptr ? impl(hook, DirectMerge{})
-                         : impl(NoHook{}, DirectMerge{});
+/// The serial runs of E1 and E4 are their shared bodies over the whole
+/// iteration space.
+template <typename Emit, typename Hook, typename Isect>
+OpCounts RunE1Impl(const OrientedGraph& g, Emit emit, Hook hook,
+                   Isect isect) {
+  return kernel::E1Range(g, {}, kernel::End(g), emit, hook, isect);
+}
+
+template <typename Emit, typename Hook, typename Isect>
+OpCounts RunE4Impl(const OrientedGraph& g, Emit emit, Hook hook,
+                   Isect isect) {
+  return kernel::E4Range(g, {}, kernel::End(g), emit, hook, isect);
 }
 
 }  // namespace
@@ -255,9 +160,11 @@ OpCounts Dispatch(Impl impl, NodeOpsHook* hook,
   }                                                                      \
   OpCounts NAME(const OrientedGraph& g, TriangleSink* sink,              \
                 simd::IntersectEngine* engine, NodeOpsHook* hook) {      \
-    return Dispatch(                                                     \
-        [&](auto h, auto isect) { return NAME##Impl(g, sink, h, isect); }, \
-        hook, engine);                                                   \
+    return kernel::RunToSink(sink, hook, [&](auto emit, auto h) {        \
+      return kernel::WithIsect(engine, [&](auto isect) {                 \
+        return NAME##Impl(g, emit, h, isect);                            \
+      });                                                                \
+    });                                                                  \
   }
 
 TRILIST_DEFINE_SEI(RunE1)

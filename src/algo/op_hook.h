@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "src/graph/graph.h"  // NodeId
 
@@ -37,5 +38,13 @@ class NodeOpsHook {
   /// oriented graph the kernel runs on).
   virtual void Record(NodeId v, int64_t ops) = 0;
 };
+
+/// Hook-free tag of the kernel templates: `if constexpr (kHooked<Hook>)`
+/// removes every attribution statement, so the default instantiations
+/// compile to exactly the pre-hook kernels.
+struct NoHook {};
+
+template <typename Hook>
+constexpr bool kHooked = !std::is_same_v<Hook, NoHook>;
 
 }  // namespace trilist

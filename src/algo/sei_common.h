@@ -1,41 +1,22 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <span>
 
 #include "src/graph/graph.h"
 
 /// \file sei_common.h
-/// Shared primitives of the scanning edge iterators (E1..E6), used by both
-/// the serial kernels (edge_iterator.cpp) and the parallel slice runners
-/// (parallel_engine.cpp). Keeping one implementation is what makes the
-/// parallel engine's merge_comparisons counters bit-identical to serial
-/// runs: both paths execute exactly the same loop.
+/// Sorted-span helpers of the scanning edge iterators: the label-window
+/// restrictions of an adjacency row that every SEI intersection operates
+/// on. They are the one copy used by the shared kernel bodies
+/// (kernel_body.h, and hence both the serial and the parallel runs), the
+/// other serial kernels, and the partitioned and paged executors
+/// (src/xm, src/ooc). Together with IntersectMergeT (intersect.h) they
+/// are why every executor reports bit-identical scan and
+/// merge_comparisons counters: all of them execute the same loops.
 
 namespace trilist {
 namespace sei {
-
-/// Two-pointer intersection of sorted ranges; emits each common element
-/// and counts actual loop steps in *comparisons.
-template <typename Emit>
-void MergeIntersect(std::span<const NodeId> a, std::span<const NodeId> b,
-                    int64_t* comparisons, Emit&& emit) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++*comparisons;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      emit(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
 
 /// Elements of `list` strictly below `bound` (a sorted prefix).
 inline std::span<const NodeId> PrefixBelow(std::span<const NodeId> list,
@@ -49,6 +30,15 @@ inline std::span<const NodeId> SuffixAbove(std::span<const NodeId> list,
                                            NodeId bound) {
   const auto it = std::upper_bound(list.begin(), list.end(), bound);
   return list.subspan(static_cast<size_t>(it - list.begin()));
+}
+
+/// Elements of `list` with values in [lo, hi) (a sorted subrange).
+inline std::span<const NodeId> RangeWithin(std::span<const NodeId> list,
+                                           NodeId lo, NodeId hi) {
+  const auto first = std::lower_bound(list.begin(), list.end(), lo);
+  const auto last = std::lower_bound(first, list.end(), hi);
+  return list.subspan(static_cast<size_t>(first - list.begin()),
+                      static_cast<size_t>(last - first));
 }
 
 }  // namespace sei

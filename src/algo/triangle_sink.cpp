@@ -2,7 +2,14 @@
 
 #include <algorithm>
 
+#include "src/util/status.h"
+
 namespace trilist {
+
+void TriangleSink::Add(uint64_t) {
+  internal::DCheckFail("Add() on a sink that observes triangles", __FILE__,
+                       __LINE__);
+}
 
 std::vector<Triangle> CollectingSink::Sorted() const {
   std::vector<Triangle> sorted = triangles_;

@@ -30,12 +30,24 @@ class TriangleSink {
   virtual ~TriangleSink() = default;
   /// Receives one triangle; precondition x < y < z.
   virtual void Consume(NodeId x, NodeId y, NodeId z) = 0;
+
+  /// True for a sink that keeps nothing but the number of triangles. The
+  /// listing engines then emit no triangles at all: they count them and
+  /// credit the run's total once through Add(). Sinks that observe the
+  /// triangles (or their order) keep the default.
+  virtual bool CountsOnly() const { return false; }
+
+  /// Credits `n` triangles at once. Called only on sinks whose
+  /// CountsOnly() is true; the default aborts.
+  virtual void Add(uint64_t n);
 };
 
 /// Counts triangles without storing them.
 class CountingSink : public TriangleSink {
  public:
   void Consume(NodeId, NodeId, NodeId) override { ++count_; }
+  bool CountsOnly() const override { return true; }
+  void Add(uint64_t n) override { count_ += n; }
   /// Number of triangles consumed.
   uint64_t count() const { return count_; }
 

@@ -1,75 +1,14 @@
 #include "src/algo/vertex_iterator.h"
 
-#include <type_traits>
+#include "src/algo/kernel_body.h"
 
 namespace trilist {
 
 namespace {
 
-/// Hook-free tag: `if constexpr` removes every attribution statement, so
-/// the default instantiations compile to exactly the pre-hook kernels.
-struct NoHook {};
-
-template <typename Hook>
-constexpr bool kHooked = !std::is_same_v<Hook, NoHook>;
-
-template <typename Hook>
-OpCounts RunT1Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t zi = 0; zi < n; ++zi) {
-    const auto z = static_cast<NodeId>(zi);
-    const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] const int64_t before = ops.candidate_checks;
-    // Pairs x < y; lists are sorted, so index order is label order.
-    for (size_t b = 1; b < out.size(); ++b) {
-      const NodeId y = out[b];
-      for (size_t a = 0; a < b; ++a) {
-        const NodeId x = out[a];
-        ++ops.candidate_checks;
-        if (arcs.Contains(y, x)) {
-          ++ops.triangles;
-          sink->Consume(x, y, z);
-        }
-      }
-    }
-    if constexpr (kHooked<Hook>) {
-      hook->Record(z, ops.candidate_checks - before);
-    }
-  }
-  return ops;
-}
-
-template <typename Hook>
-OpCounts RunT2Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t yi = 0; yi < n; ++yi) {
-    const auto y = static_cast<NodeId>(yi);
-    const auto in = g.InNeighbors(y);
-    const auto out = g.OutNeighbors(y);
-    [[maybe_unused]] const int64_t before = ops.candidate_checks;
-    for (const NodeId z : in) {
-      for (const NodeId x : out) {
-        ++ops.candidate_checks;
-        if (arcs.Contains(z, x)) {
-          ++ops.triangles;
-          sink->Consume(x, y, z);
-        }
-      }
-    }
-    if constexpr (kHooked<Hook>) {
-      hook->Record(y, ops.candidate_checks - before);
-    }
-  }
-  return ops;
-}
-
-template <typename Hook>
+template <typename Emit, typename Hook>
 OpCounts RunT3Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
+                   Emit emit, Hook hook) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   for (size_t xi = 0; xi < n; ++xi) {
@@ -83,7 +22,7 @@ OpCounts RunT3Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
         ++ops.candidate_checks;
         if (arcs.Contains(z, y)) {
           ++ops.triangles;
-          sink->Consume(x, y, z);
+          emit(x, y, z);
         }
       }
     }
@@ -94,9 +33,9 @@ OpCounts RunT3Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
   return ops;
 }
 
-template <typename Hook>
+template <typename Emit, typename Hook>
 OpCounts RunT4Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
+                   Emit emit, Hook hook) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   for (size_t zi = 0; zi < n; ++zi) {
@@ -111,7 +50,7 @@ OpCounts RunT4Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
         ++ops.candidate_checks;
         if (arcs.Contains(y, x)) {
           ++ops.triangles;
-          sink->Consume(x, y, z);
+          emit(x, y, z);
         }
       }
     }
@@ -122,9 +61,9 @@ OpCounts RunT4Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
   return ops;
 }
 
-template <typename Hook>
+template <typename Emit, typename Hook>
 OpCounts RunT5Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
+                   Emit emit, Hook hook) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   for (size_t yi = 0; yi < n; ++yi) {
@@ -137,7 +76,7 @@ OpCounts RunT5Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
         ++ops.candidate_checks;
         if (arcs.Contains(z, x)) {
           ++ops.triangles;
-          sink->Consume(x, y, z);
+          emit(x, y, z);
         }
       }
     }
@@ -148,9 +87,9 @@ OpCounts RunT5Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
   return ops;
 }
 
-template <typename Hook>
+template <typename Emit, typename Hook>
 OpCounts RunT6Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
+                   Emit emit, Hook hook) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   for (size_t xi = 0; xi < n; ++xi) {
@@ -164,7 +103,7 @@ OpCounts RunT6Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
         ++ops.candidate_checks;
         if (arcs.Contains(z, y)) {
           ++ops.triangles;
-          sink->Consume(x, y, z);
+          emit(x, y, z);
         }
       }
     }
@@ -179,38 +118,31 @@ OpCounts RunT6Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
 
 OpCounts RunT1(const OrientedGraph& g, const DirectedEdgeSet& arcs,
                TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT1Impl(g, arcs, sink, hook)
-                         : RunT1Impl(g, arcs, sink, NoHook{});
+  return kernel::RunToSink(sink, hook, [&](auto emit, auto h) {
+    return kernel::T1Range(g, arcs, {}, kernel::End(g), emit, h);
+  });
 }
 
 OpCounts RunT2(const OrientedGraph& g, const DirectedEdgeSet& arcs,
                TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT2Impl(g, arcs, sink, hook)
-                         : RunT2Impl(g, arcs, sink, NoHook{});
+  return kernel::RunToSink(sink, hook, [&](auto emit, auto h) {
+    return kernel::T2Range(g, arcs, {}, kernel::End(g), emit, h);
+  });
 }
 
-OpCounts RunT3(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT3Impl(g, arcs, sink, hook)
-                         : RunT3Impl(g, arcs, sink, NoHook{});
-}
+#define TRILIST_DEFINE_VI(NAME)                                       \
+  OpCounts NAME(const OrientedGraph& g, const DirectedEdgeSet& arcs,  \
+                TriangleSink* sink, NodeOpsHook* hook) {              \
+    return kernel::RunToSink(sink, hook, [&](auto emit, auto h) {     \
+      return NAME##Impl(g, arcs, emit, h);                            \
+    });                                                               \
+  }
 
-OpCounts RunT4(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT4Impl(g, arcs, sink, hook)
-                         : RunT4Impl(g, arcs, sink, NoHook{});
-}
+TRILIST_DEFINE_VI(RunT3)
+TRILIST_DEFINE_VI(RunT4)
+TRILIST_DEFINE_VI(RunT5)
+TRILIST_DEFINE_VI(RunT6)
 
-OpCounts RunT5(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT5Impl(g, arcs, sink, hook)
-                         : RunT5Impl(g, arcs, sink, NoHook{});
-}
-
-OpCounts RunT6(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT6Impl(g, arcs, sink, hook)
-                         : RunT6Impl(g, arcs, sink, NoHook{});
-}
+#undef TRILIST_DEFINE_VI
 
 }  // namespace trilist

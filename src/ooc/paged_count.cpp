@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <span>
 
-#include "src/algo/triangle_sink.h"
+#include "src/algo/intersect.h"
+#include "src/algo/sei_common.h"
 #include "src/graph/binfmt.h"
 
 namespace trilist::ooc {
@@ -11,39 +12,6 @@ namespace trilist::ooc {
 namespace {
 
 constexpr int64_t kBytesPerId = static_cast<int64_t>(sizeof(NodeId));
-
-std::span<const NodeId> PrefixBelow(std::span<const NodeId> list,
-                                    NodeId bound) {
-  const auto it = std::lower_bound(list.begin(), list.end(), bound);
-  return list.first(static_cast<size_t>(it - list.begin()));
-}
-
-std::span<const NodeId> RangeWithin(std::span<const NodeId> list, NodeId lo,
-                                    NodeId hi) {
-  const auto first = std::lower_bound(list.begin(), list.end(), lo);
-  const auto last = std::lower_bound(first, list.end(), hi);
-  return list.subspan(static_cast<size_t>(first - list.begin()),
-                      static_cast<size_t>(last - first));
-}
-
-template <typename Emit>
-void MergeIntersect(std::span<const NodeId> a, std::span<const NodeId> b,
-                    int64_t* comparisons, Emit&& emit) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++*comparisons;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      emit(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
 
 int64_t OutListBytes(const OrientedGraph& g, NodeId lo, NodeId hi) {
   int64_t bytes = 0;
@@ -100,10 +68,11 @@ class Evictor {
 /// cursor. The loop body mirrors src/xm/partitioned.cpp statement for
 /// statement, so OpCounts and the IoStats ledger come out identical to
 /// the simulated executors — what changes is that streamed pages are
-/// dropped once the cursor has moved `window_bytes` past them.
+/// dropped once the cursor has moved `window_bytes` past them. Only the
+/// count is wanted, so the run keeps no triangles: ops.triangles is it.
 OocCountResult RunPaged(const OrientedGraph& g, const MmapFile* file,
                         const Partitioning& parts, int64_t window_bytes,
-                        bool use_e2, TriangleSink* sink) {
+                        bool use_e2) {
   OocCountResult result;
   result.mmap_backed = file->is_mapped();
   const size_t n = g.num_nodes();
@@ -136,31 +105,22 @@ OocCountResult RunPaged(const OrientedGraph& g, const MmapFile* file,
       result.io.bytes_streamed +=
           static_cast<int64_t>(streamed.size()) * kBytesPerId;
       if (!use_e2) {
-        for (const NodeId z : RangeWithin(g.InNeighbors(y), lo, hi)) {
-          const auto local = PrefixBelow(g.OutNeighbors(z), y);
+        for (const NodeId z : sei::RangeWithin(g.InNeighbors(y), lo, hi)) {
+          const auto local = sei::PrefixBelow(g.OutNeighbors(z), y);
           result.ops.local_scans += static_cast<int64_t>(local.size());
           result.ops.remote_scans +=
               static_cast<int64_t>(streamed.size());
-          MergeIntersect(local, streamed,
-                         &result.ops.merge_comparisons, [&](NodeId x) {
-                           ++result.ops.triangles;
-                           sink->Consume(x, y, z);
-                         });
+          result.ops.merge_comparisons += IntersectMergeT(
+              local, streamed, [&](NodeId) { ++result.ops.triangles; });
         }
       } else {
-        for (const NodeId w : RangeWithin(streamed, lo, hi)) {
+        for (const NodeId w : sei::RangeWithin(streamed, lo, hi)) {
           const auto local = g.OutNeighbors(w);  // resident
-          const auto remote = PrefixBelow(streamed, w);
+          const auto remote = sei::PrefixBelow(streamed, w);
           result.ops.local_scans += static_cast<int64_t>(local.size());
           result.ops.remote_scans += static_cast<int64_t>(remote.size());
-          MergeIntersect(local, remote, &result.ops.merge_comparisons,
-                         [&](NodeId x) {
-                           ++result.ops.triangles;
-                           // In E2 the streamed node y is the top of the
-                           // triangle; w (the resident middle) sits
-                           // between.
-                           sink->Consume(x, w, y);
-                         });
+          result.ops.merge_comparisons += IntersectMergeT(
+              local, remote, [&](NodeId) { ++result.ops.triangles; });
         }
       }
       pending +=
@@ -217,10 +177,7 @@ Result<OocCountResult> OocCountTlg(const std::string& path,
   const Partitioning parts =
       Partitioning::ForMemoryBudget(*og, budget / 2);
   const int64_t window = std::max<int64_t>(budget / 8, 1ll << 20);
-  CountingSink sink;
-  OocCountResult result =
-      RunPaged(*og, file.backing(), parts, window, options.use_e2, &sink);
-  return result;
+  return RunPaged(*og, file.backing(), parts, window, options.use_e2);
 }
 
 }  // namespace trilist::ooc

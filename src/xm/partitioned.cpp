@@ -1,8 +1,9 @@
 #include "src/xm/partitioned.h"
 
 #include <algorithm>
-#include <span>
 
+#include "src/algo/intersect.h"
+#include "src/algo/sei_common.h"
 #include "src/util/status.h"
 
 namespace trilist {
@@ -10,40 +11,6 @@ namespace trilist {
 namespace {
 
 constexpr int64_t kBytesPerId = static_cast<int64_t>(sizeof(NodeId));
-
-std::span<const NodeId> PrefixBelow(std::span<const NodeId> list,
-                                    NodeId bound) {
-  const auto it = std::lower_bound(list.begin(), list.end(), bound);
-  return list.first(static_cast<size_t>(it - list.begin()));
-}
-
-/// Subrange of a sorted list with values in [lo, hi).
-std::span<const NodeId> RangeWithin(std::span<const NodeId> list, NodeId lo,
-                                    NodeId hi) {
-  const auto first = std::lower_bound(list.begin(), list.end(), lo);
-  const auto last = std::lower_bound(first, list.end(), hi);
-  return list.subspan(static_cast<size_t>(first - list.begin()),
-                      static_cast<size_t>(last - first));
-}
-
-template <typename Emit>
-void MergeIntersect(std::span<const NodeId> a, std::span<const NodeId> b,
-                    int64_t* comparisons, Emit&& emit) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++*comparisons;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      emit(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
 
 int64_t OutListBytes(const OrientedGraph& g, NodeId lo, NodeId hi) {
   int64_t bytes = 0;
@@ -106,15 +73,14 @@ OpCounts RunPartitionedE1(const OrientedGraph& g, const Partitioning& parts,
       const auto remote = g.OutNeighbors(y);
       ledger.bytes_streamed +=
           static_cast<int64_t>(remote.size()) * kBytesPerId;
-      for (const NodeId z : RangeWithin(g.InNeighbors(y), lo, hi)) {
-        const auto local = PrefixBelow(g.OutNeighbors(z), y);
+      for (const NodeId z : sei::RangeWithin(g.InNeighbors(y), lo, hi)) {
+        const auto local = sei::PrefixBelow(g.OutNeighbors(z), y);
         ops.local_scans += static_cast<int64_t>(local.size());
         ops.remote_scans += static_cast<int64_t>(remote.size());
-        MergeIntersect(local, remote, &ops.merge_comparisons,
-                       [&](NodeId x) {
-                         ++ops.triangles;
-                         sink->Consume(x, y, z);
-                       });
+        ops.merge_comparisons += IntersectMergeT(local, remote, [&](NodeId x) {
+          ++ops.triangles;
+          sink->Consume(x, y, z);
+        });
       }
     }
   }
@@ -137,16 +103,15 @@ OpCounts RunPartitionedE2(const OrientedGraph& g, const Partitioning& parts,
       const auto streamed = g.OutNeighbors(z);
       ledger.bytes_streamed +=
           static_cast<int64_t>(streamed.size()) * kBytesPerId;
-      for (const NodeId y : RangeWithin(streamed, lo, hi)) {
+      for (const NodeId y : sei::RangeWithin(streamed, lo, hi)) {
         const auto local = g.OutNeighbors(y);  // resident
-        const auto remote = PrefixBelow(streamed, y);
+        const auto remote = sei::PrefixBelow(streamed, y);
         ops.local_scans += static_cast<int64_t>(local.size());
         ops.remote_scans += static_cast<int64_t>(remote.size());
-        MergeIntersect(local, remote, &ops.merge_comparisons,
-                       [&](NodeId x) {
-                         ++ops.triangles;
-                         sink->Consume(x, y, z);
-                       });
+        ops.merge_comparisons += IntersectMergeT(local, remote, [&](NodeId x) {
+          ++ops.triangles;
+          sink->Consume(x, y, z);
+        });
       }
     }
   }

@@ -163,6 +163,43 @@ if(has_name EQUAL -1 OR has_flags EQUAL -1)
   message(FATAL_ERROR "version output lacks provenance: ${ver_out}")
 endif()
 
+# Numeric flags are strict: a value that is empty, has trailing garbage or
+# is out of range exits 2 with a message naming the flag, instead of
+# silently parsing as 0 (which --threads would read as "all hardware
+# threads"). `--threads 0` itself stays valid.
+foreach(bad_threads "abc" "4x" "-1" "99999999999")
+  execute_process(
+    COMMAND "${CLI}" run --in "${graph_file}" --methods T1 --order D
+            --threads "${bad_threads}"
+    RESULT_VARIABLE bad_result OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err)
+  if(NOT bad_result EQUAL 2)
+    message(FATAL_ERROR "--threads ${bad_threads} exited ${bad_result}, "
+                        "want 2: ${bad_out}")
+  endif()
+  string(FIND "${bad_err}" "--threads" names_flag)
+  if(names_flag EQUAL -1)
+    message(FATAL_ERROR "--threads ${bad_threads} error does not name the "
+                        "flag: ${bad_err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${CLI}" model --alpha 1.5x --n 1000 --method T1 --order D
+  RESULT_VARIABLE bad_alpha_result ERROR_VARIABLE bad_alpha_err)
+string(FIND "${bad_alpha_err}" "--alpha" names_alpha)
+if(NOT bad_alpha_result EQUAL 2 OR names_alpha EQUAL -1)
+  message(FATAL_ERROR "--alpha 1.5x: exit ${bad_alpha_result}, "
+                      "${bad_alpha_err}")
+endif()
+execute_process(
+  COMMAND "${CLI}" count --in "${graph_file}" --method T1 --order D
+          --threads 0
+  RESULT_VARIABLE all_threads_result OUTPUT_VARIABLE all_threads_out)
+string(REGEX MATCH "triangles ([0-9]+)" m_all "${all_threads_out}")
+if(NOT all_threads_result EQUAL 0 OR NOT CMAKE_MATCH_1 STREQUAL t1)
+  message(FATAL_ERROR "--threads 0 failed: ${all_threads_out}")
+endif()
+
 file(REMOVE "${graph_file}" "${tlg_file}" "${tlg_file2}"
      "${roundtrip_file}" "${trace_file}" "${metrics_file}"
      "${report_file}")

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/algo/simd/intersect_simd.h"
@@ -12,6 +13,41 @@
 
 namespace trilist {
 namespace {
+
+// The kernels as generic callables, so one helper drives each of them.
+const auto kMerge = [](std::span<const NodeId> a, std::span<const NodeId> b,
+                       auto&& emit) { return IntersectMergeT(a, b, emit); };
+const auto kGallop = [](std::span<const NodeId> a, std::span<const NodeId> b,
+                        auto&& emit) { return IntersectGallopT(a, b, emit); };
+const auto kAuto = [](std::span<const NodeId> a, std::span<const NodeId> b,
+                      auto&& emit) { return IntersectAutoT(a, b, emit); };
+const auto kSimd = [](std::span<const NodeId> a, std::span<const NodeId> b,
+                      auto&& emit) {
+  return simd::IntersectSimdT(a, b, emit);
+};
+
+/// Number of common elements `kernel` emits.
+template <typename Kernel>
+int64_t Matches(Kernel kernel, std::span<const NodeId> a,
+                std::span<const NodeId> b) {
+  int64_t matches = 0;
+  kernel(a, b, [&matches](NodeId) { ++matches; });
+  return matches;
+}
+
+/// Comparisons `kernel` performs, its matches discarded.
+template <typename Kernel>
+int64_t Comparisons(Kernel kernel, std::span<const NodeId> a,
+                    std::span<const NodeId> b) {
+  return kernel(a, b, [](NodeId) {});
+}
+
+/// Runs `kernel`, appending its matches to *out; returns its comparisons.
+template <typename Kernel>
+int64_t Collect(Kernel kernel, std::span<const NodeId> a,
+                std::span<const NodeId> b, std::vector<NodeId>* out) {
+  return kernel(a, b, [out](NodeId v) { out->push_back(v); });
+}
 
 int64_t ReferenceIntersectionSize(const std::vector<NodeId>& a,
                                   const std::vector<NodeId>& b) {
@@ -27,37 +63,34 @@ int64_t ReferenceIntersectionSize(const std::vector<NodeId>& a,
 TEST(IntersectTest, SmallHandCases) {
   const std::vector<NodeId> a = {1, 3, 5, 7, 9};
   const std::vector<NodeId> b = {2, 3, 4, 7, 10};
-  EXPECT_EQ(CountIntersectMerge(a, b), 2);
-  EXPECT_EQ(CountIntersectGallop(a, b), 2);
-  EXPECT_EQ(CountIntersectAuto(a, b), 2);
+  EXPECT_EQ(Matches(kMerge, a, b), 2);
+  EXPECT_EQ(Matches(kGallop, a, b), 2);
+  EXPECT_EQ(Matches(kAuto, a, b), 2);
 }
 
 TEST(IntersectTest, EmptyAndDisjoint) {
   const std::vector<NodeId> a = {1, 2, 3};
   const std::vector<NodeId> empty;
-  EXPECT_EQ(CountIntersectMerge(a, empty), 0);
-  EXPECT_EQ(CountIntersectGallop(empty, a), 0);
+  EXPECT_EQ(Matches(kMerge, a, empty), 0);
+  EXPECT_EQ(Matches(kGallop, empty, a), 0);
   const std::vector<NodeId> b = {10, 20};
-  EXPECT_EQ(CountIntersectAuto(a, b), 0);
+  EXPECT_EQ(Matches(kAuto, a, b), 0);
 }
 
 TEST(IntersectTest, IdenticalLists) {
   const std::vector<NodeId> a = {2, 4, 6, 8};
-  EXPECT_EQ(CountIntersectMerge(a, a), 4);
-  EXPECT_EQ(CountIntersectGallop(a, a), 4);
+  EXPECT_EQ(Matches(kMerge, a, a), 4);
+  EXPECT_EQ(Matches(kGallop, a, a), 4);
 }
 
 TEST(IntersectTest, EmitsTheActualElements) {
   const std::vector<NodeId> a = {1, 4, 6, 9};
   const std::vector<NodeId> b = {4, 9, 12};
   std::vector<NodeId> out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  IntersectMerge(a, b, emit, &out);
+  Collect(kMerge, a, b, &out);
   EXPECT_EQ(out, (std::vector<NodeId>{4, 9}));
   out.clear();
-  IntersectGallop(a, b, emit, &out);
+  Collect(kGallop, a, b, &out);
   EXPECT_EQ(out, (std::vector<NodeId>{4, 9}));
 }
 
@@ -77,9 +110,9 @@ TEST(IntersectTest, RandomizedAgainstReference) {
     const std::vector<NodeId> a(sa.begin(), sa.end());
     const std::vector<NodeId> b(sb.begin(), sb.end());
     const int64_t expected = ReferenceIntersectionSize(a, b);
-    ASSERT_EQ(CountIntersectMerge(a, b), expected) << trial;
-    ASSERT_EQ(CountIntersectGallop(a, b), expected) << trial;
-    ASSERT_EQ(CountIntersectAuto(a, b), expected) << trial;
+    ASSERT_EQ(Matches(kMerge, a, b), expected) << trial;
+    ASSERT_EQ(Matches(kGallop, a, b), expected) << trial;
+    ASSERT_EQ(Matches(kAuto, a, b), expected) << trial;
   }
 }
 
@@ -94,8 +127,8 @@ TEST(IntersectTest, GallopCheaperOnExtremeAsymmetry) {
   }
   const std::vector<NodeId> small = {big[10], big[5000], big[70000],
                                      big[99999]};
-  int64_t merge_cmp = IntersectMerge(small, big, nullptr, nullptr);
-  int64_t gallop_cmp = IntersectGallop(small, big, nullptr, nullptr);
+  int64_t merge_cmp = Comparisons(kMerge, small, big);
+  int64_t gallop_cmp = Comparisons(kGallop, small, big);
   EXPECT_GT(merge_cmp, 50000);
   EXPECT_LT(gallop_cmp, 300);
 }
@@ -104,12 +137,9 @@ TEST(IntersectTest, AutoEmptySpansPerformNoComparisons) {
   const std::vector<NodeId> a = {1, 2, 3};
   const std::vector<NodeId> empty;
   std::vector<NodeId> out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  EXPECT_EQ(IntersectAuto(empty, empty, emit, &out), 0);
-  EXPECT_EQ(IntersectAuto(a, empty, emit, &out), 0);
-  EXPECT_EQ(IntersectAuto(empty, a, emit, &out), 0);
+  EXPECT_EQ(Collect(kAuto, empty, empty, &out), 0);
+  EXPECT_EQ(Collect(kAuto, a, empty, &out), 0);
+  EXPECT_EQ(Collect(kAuto, empty, a, &out), 0);
   EXPECT_TRUE(out.empty());
 }
 
@@ -126,22 +156,22 @@ std::vector<NodeId> Iota(size_t len) {
 TEST(IntersectTest, AutoDispatchesMergeAtExactly32xRatio) {
   const std::vector<NodeId> small = {1000000, 1000001};
   const std::vector<NodeId> big = Iota(32 * small.size());  // exactly 32x
-  const int64_t merge_cmp = IntersectMerge(small, big, nullptr, nullptr);
-  const int64_t gallop_cmp = IntersectGallop(small, big, nullptr, nullptr);
+  const int64_t merge_cmp = Comparisons(kMerge, small, big);
+  const int64_t gallop_cmp = Comparisons(kGallop, small, big);
   ASSERT_NE(merge_cmp, gallop_cmp) << "test needs distinguishable kernels";
-  EXPECT_EQ(IntersectAuto(small, big, nullptr, nullptr), merge_cmp);
+  EXPECT_EQ(Comparisons(kAuto, small, big), merge_cmp);
   // Argument order must not matter.
-  EXPECT_EQ(IntersectAuto(big, small, nullptr, nullptr), merge_cmp);
+  EXPECT_EQ(Comparisons(kAuto, big, small), merge_cmp);
 }
 
 TEST(IntersectTest, AutoDispatchesGallopJustAbove32xRatio) {
   const std::vector<NodeId> small = {1000000, 1000001};
   const std::vector<NodeId> big = Iota(32 * small.size() + 1);  // 32.5x
-  const int64_t merge_cmp = IntersectMerge(small, big, nullptr, nullptr);
-  const int64_t gallop_cmp = IntersectGallop(small, big, nullptr, nullptr);
+  const int64_t merge_cmp = Comparisons(kMerge, small, big);
+  const int64_t gallop_cmp = Comparisons(kGallop, small, big);
   ASSERT_NE(merge_cmp, gallop_cmp) << "test needs distinguishable kernels";
-  EXPECT_EQ(IntersectAuto(small, big, nullptr, nullptr), gallop_cmp);
-  EXPECT_EQ(IntersectAuto(big, small, nullptr, nullptr), gallop_cmp);
+  EXPECT_EQ(Comparisons(kAuto, small, big), gallop_cmp);
+  EXPECT_EQ(Comparisons(kAuto, big, small), gallop_cmp);
 }
 
 TEST(IntersectTest, GallopMonotoneCursorHandlesDuplicateFreeRuns) {
@@ -152,14 +182,15 @@ TEST(IntersectTest, GallopMonotoneCursorHandlesDuplicateFreeRuns) {
     a[i] = i;
     b[i] = i;
   }
-  EXPECT_EQ(CountIntersectGallop(a, b), 100);
+  EXPECT_EQ(Matches(kGallop, a, b), 100);
 }
 
 // ---------------------------------------------------------------------------
-// Devirtualized templates vs the C-style shims (the shims must be pure
-// forwarders: same comparisons, same emissions).
+// What a kernel does with its matches must not change what it finds or
+// what it costs: counting (the count-only emitters), discarding and
+// collecting them give the same comparisons and the same elements.
 
-TEST(IntersectTest, ShimsMatchTemplates) {
+TEST(IntersectTest, EmitterDoesNotChangeTheOutcome) {
   Rng rng(17);
   for (int trial = 0; trial < 50; ++trial) {
     std::set<NodeId> sa;
@@ -172,26 +203,23 @@ TEST(IntersectTest, ShimsMatchTemplates) {
     }
     const std::vector<NodeId> a(sa.begin(), sa.end());
     const std::vector<NodeId> b(sb.begin(), sb.end());
-    std::vector<NodeId> shim_out;
-    auto emit = [](NodeId v, void* ctx) {
-      static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
+    std::vector<NodeId> expected;
+    const int64_t merge_cmp = Collect(kMerge, a, b, &expected);
+    ASSERT_EQ(Comparisons(kMerge, a, b), merge_cmp) << trial;
+    ASSERT_EQ(Matches(kMerge, a, b),
+              static_cast<int64_t>(expected.size()))
+        << trial;
+    const auto check = [&](auto kernel) {
+      std::vector<NodeId> out;
+      const int64_t cmp = Collect(kernel, a, b, &out);
+      EXPECT_EQ(Comparisons(kernel, a, b), cmp) << trial;
+      EXPECT_EQ(Matches(kernel, a, b), static_cast<int64_t>(out.size()))
+          << trial;
+      EXPECT_EQ(out, expected) << trial;
     };
-    std::vector<NodeId> tmpl_out;
-    auto collect = [&tmpl_out](NodeId v) { tmpl_out.push_back(v); };
-
-    ASSERT_EQ(IntersectMerge(a, b, emit, &shim_out),
-              IntersectMergeT(a, b, collect));
-    ASSERT_EQ(shim_out, tmpl_out);
-    shim_out.clear();
-    tmpl_out.clear();
-    ASSERT_EQ(IntersectGallop(a, b, emit, &shim_out),
-              IntersectGallopT(a, b, collect));
-    ASSERT_EQ(shim_out, tmpl_out);
-    shim_out.clear();
-    tmpl_out.clear();
-    ASSERT_EQ(IntersectAuto(a, b, emit, &shim_out),
-              IntersectAutoT(a, b, collect));
-    ASSERT_EQ(shim_out, tmpl_out);
+    check(kGallop);
+    check(kAuto);
+    check(kSimd);
   }
 }
 
@@ -208,10 +236,7 @@ std::vector<NodeId> MergeEmitted(const std::vector<NodeId>& a,
 std::vector<NodeId> SimdEmitted(const std::vector<NodeId>& a,
                                 const std::vector<NodeId>& b) {
   std::vector<NodeId> out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  IntersectSimd(a, b, emit, &out);
+  Collect(kSimd, a, b, &out);
   return out;
 }
 
@@ -257,7 +282,7 @@ TEST(SimdIntersectTest, AdversarialSpans) {
     for (const auto* pb : cases) {
       const auto expected = MergeEmitted(*pa, *pb);
       EXPECT_EQ(SimdEmitted(*pa, *pb), expected);
-      EXPECT_EQ(CountIntersectSimd(*pa, *pb),
+      EXPECT_EQ(Matches(kSimd, *pa, *pb),
                 static_cast<int64_t>(expected.size()));
     }
   }
@@ -274,10 +299,7 @@ TEST(SimdIntersectTest, DuplicatesFallBackToScalarSemantics) {
   const int64_t merge_cmp =
       IntersectMergeT(a, b, [&merge_out](NodeId v) { merge_out.push_back(v); });
   std::vector<NodeId> simd_out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  EXPECT_EQ(IntersectSimd(a, b, emit, &simd_out), merge_cmp);
+  EXPECT_EQ(Collect(kSimd, a, b, &simd_out), merge_cmp);
   EXPECT_EQ(simd_out, merge_out);
 }
 
@@ -299,16 +321,13 @@ TEST(SimdIntersectTest, RandomizedDifferentialAllKernels) {
     const auto expected = MergeEmitted(a, b);
     const auto n = static_cast<int64_t>(expected.size());
     ASSERT_EQ(SimdEmitted(a, b), expected) << trial;
-    ASSERT_EQ(CountIntersectSimd(a, b), n) << trial;
-    ASSERT_EQ(CountIntersectGallop(a, b), n) << trial;
-    ASSERT_EQ(CountIntersectAuto(a, b), n) << trial;
+    ASSERT_EQ(Matches(kSimd, a, b), n) << trial;
+    ASSERT_EQ(Matches(kGallop, a, b), n) << trial;
+    ASSERT_EQ(Matches(kAuto, a, b), n) << trial;
     // simd reports the scalar-equivalent comparison count.
     std::vector<NodeId> out;
-    auto emit = [](NodeId v, void* ctx) {
-      static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-    };
-    const int64_t merge_cmp = IntersectMerge(a, b, nullptr, nullptr);
-    ASSERT_EQ(IntersectSimd(a, b, emit, &out), merge_cmp) << trial;
+    const int64_t merge_cmp = Comparisons(kMerge, a, b);
+    ASSERT_EQ(Collect(kSimd, a, b, &out), merge_cmp) << trial;
   }
 }
 

@@ -111,11 +111,15 @@
 /// orientation when one matches the requested --order/--seed.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -159,6 +163,14 @@ using namespace trilist;
 /// Minimal --flag parser: `--key value` pairs plus bare boolean switches
 /// (`--degree-profile`). A flag followed by another `--flag` (or nothing)
 /// is a switch; Get() returns "" for missing keys.
+/// A numeric flag whose value does not parse or is out of range. main()
+/// reports it and exits with status 2.
+struct FlagError {
+  std::string key;
+  std::string value;
+  std::string expected;
+};
+
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -184,13 +196,41 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
   }
+  /// Numeric flags return `def` when absent. A present value must be the
+  /// whole number and in range; anything else (empty, trailing garbage,
+  /// a sign on an unsigned flag, overflow) throws FlagError.
   double GetDouble(const std::string& key, double def) const {
-    const std::string v = Get(key);
-    return v.empty() ? def : std::strtod(v.c_str(), nullptr);
+    const auto it = values_.find(key);
+    if (it == values_.end()) return def;
+    const std::string& v = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(v.c_str(), &end);
+    if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) ||
+        end != v.c_str() + v.size() || errno == ERANGE ||
+        !std::isfinite(value)) {
+      throw FlagError{key, v, "a finite number"};
+    }
+    return value;
   }
-  uint64_t GetUint(const std::string& key, uint64_t def) const {
-    const std::string v = Get(key);
-    return v.empty() ? def : std::strtoull(v.c_str(), nullptr, 10);
+  uint64_t GetUint(const std::string& key, uint64_t def,
+                   uint64_t max = UINT64_MAX) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return def;
+    const std::string& v = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(v.c_str(), &end, 10);
+    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+        end != v.c_str() + v.size() || errno == ERANGE || value > max) {
+      throw FlagError{key, v,
+                      "an integer in [0, " + std::to_string(max) + "]"};
+    }
+    return value;
+  }
+  int GetInt(const std::string& key, int def) const {
+    return static_cast<int>(GetUint(key, static_cast<uint64_t>(def),
+                                    std::numeric_limits<int>::max()));
   }
 
  private:
@@ -226,7 +266,7 @@ TruncationKind ParseTrunc(const std::string& name) {
 /// resolves it (so reports record both the request and the resolved
 /// count); local consumers call ResolveThreads themselves.
 int ParseThreadsFlag(const Flags& flags) {
-  return static_cast<int>(flags.GetUint("threads", 1));
+  return flags.GetInt("threads", 1);
 }
 
 /// Byte-size flag with optional K/M/G (or KiB/MiB/GiB) suffix:
@@ -263,8 +303,7 @@ bool ParseIntersectFlag(const Flags& flags, ExecPolicy* exec) {
                  name.c_str());
     return false;
   }
-  exec->bitmap_min_degree =
-      static_cast<int>(flags.GetUint("bitmap-min-degree", 0));
+  exec->bitmap_min_degree = flags.GetInt("bitmap-min-degree", 0);
   return true;
 }
 
@@ -513,7 +552,7 @@ int CmdRun(const Flags& flags) {
     spec.plan.intersect = true;
     spec.exec.intersect = IntersectBackend::kMerge;
   }
-  spec.repeats = static_cast<int>(flags.GetUint("repeats", 1));
+  spec.repeats = flags.GetInt("repeats", 1);
   spec.degree_profile = flags.Has("degree-profile");
   spec.mem_budget_bytes =
       static_cast<int64_t>(ParseSizeFlag(flags, "mem-budget", 0));
@@ -625,7 +664,7 @@ int CmdConvert(const Flags& flags) {
     ooc::OocConvertOptions oopts;
     oopts.mem_budget_bytes = budget;
     oopts.tmpdir = flags.Get("tmpdir", "/tmp");
-    oopts.io_workers = static_cast<int>(flags.GetUint("io-workers", 2));
+    oopts.io_workers = flags.GetInt("io-workers", 2);
     oopts.direct_io = !flags.Has("no-direct-io");
     if (!flags.Get("orders").empty() &&
         !ParseOrderList(flags.Get("orders"), seed, &oopts.orientations)) {
@@ -871,7 +910,7 @@ int CmdServe(const Flags& flags) {
   serve::ServerOptions options;
   if (flags.Has("tcp")) {
     options.tcp = true;
-    options.port = static_cast<uint16_t>(flags.GetUint("tcp", 0));
+    options.port = static_cast<uint16_t>(flags.GetUint("tcp", 0, 65535));
   }
   options.host = flags.Get("host", "127.0.0.1");
   options.unix_path = flags.Get("unix");
@@ -886,12 +925,11 @@ int CmdServe(const Flags& flags) {
                  "serve: --graphs DIR and/or --graph name=path required\n");
     return 2;
   }
-  options.workers = static_cast<int>(flags.GetUint("workers", 1));
+  options.workers = flags.GetInt("workers", 1);
   options.max_queue = flags.GetUint("queue", 64);
   options.catalog_capacity = flags.GetUint("catalog", 8);
   options.shortest_job_first = flags.Has("sjf");
-  options.max_query_threads =
-      static_cast<int>(flags.GetUint("max-threads", 0));
+  options.max_query_threads = flags.GetInt("max-threads", 0);
   options.send_timeout_s = flags.GetDouble("send-timeout", 30);
   options.paged_catalog = flags.Has("paged");
   // Test hook: lets the drain shell test hold a request in flight long
@@ -985,8 +1023,8 @@ int CmdQuery(const Flags& flags) {
   if (!ParseMethodList(flags.Get("methods", "E1"), &request.methods)) {
     return 2;
   }
-  request.threads = static_cast<int32_t>(flags.GetUint("threads", 1));
-  request.repeats = static_cast<int32_t>(flags.GetUint("repeats", 1));
+  request.threads = flags.GetInt("threads", 1);
+  request.repeats = flags.GetInt("repeats", 1);
 
   auto response = client.Query(request);
   if (!response.ok()) {
@@ -1132,7 +1170,7 @@ int CmdMutateLocal(const Flags& flags,
 
   dyn::ReplayOptions options;
   options.batch_size = static_cast<size_t>(flags.GetUint("batch", 256));
-  options.threads = static_cast<int>(flags.GetUint("threads", 1));
+  options.threads = flags.GetInt("threads", 1);
   options.recount_orient = OrientSpec{PermutationKind::kDescending, 0};
   options.verify_tlg = flags.Has("verify");
   const std::string out = flags.Get("out");
@@ -1289,12 +1327,7 @@ int Usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  const Flags flags(argc, argv);
+int RunCommand(const std::string& cmd, const Flags& flags) {
   if (cmd == "generate") return CmdGenerate(flags);
   if (cmd == "count") return CmdCount(flags);
   if (cmd == "run") return CmdRun(flags);
@@ -1308,4 +1341,19 @@ int main(int argc, char** argv) {
   if (cmd == "mutate") return CmdMutate(flags);
   if (cmd == "version" || cmd == "--version") return CmdVersion();
   return Usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) return Usage();
+  const std::string cmd = argv[1];
+  const Flags flags(argc, argv);
+  try {
+    return RunCommand(cmd, flags);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "%s: --%s: expected %s, got '%s'\n", cmd.c_str(),
+                 e.key.c_str(), e.expected.c_str(), e.value.c_str());
+    return 2;
+  }
 }
