@@ -47,17 +47,45 @@ std::vector<double> ExpectedSmallerNeighborFractions(
 double SequenceConditionalCost(
     const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
     Method m, const WeightFn& w) {
+  return SequenceConditionalCosts(ascending_degrees, theta, {m}, w)[0];
+}
+
+std::vector<double> SequenceConditionalCosts(
+    const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
+    const std::vector<Method>& methods, const WeightFn& w) {
   const std::vector<int64_t> by_label =
       DegreesByLabel(ascending_degrees, theta);
   const std::vector<double> q =
       ExpectedSmallerNeighborFractions(by_label, w);
   const size_t n = by_label.size();
-  if (n == 0) return 0.0;
-  double cost = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    cost += GFunction(static_cast<double>(by_label[i])) * EvalH(m, q[i]);
+  std::vector<double> costs(methods.size(), 0.0);
+  if (n == 0) return costs;
+  // EvalH(m, x) is h of m's local class, plus h of its remote class for a
+  // scanning edge iterator; resolve the classes once, and evaluate the
+  // three class shapes once per node.
+  struct Shape {
+    CostClass local;
+    CostClass remote;
+    bool scanning;
+  };
+  std::vector<Shape> shapes;
+  for (const Method m : methods) {
+    shapes.push_back({LocalCostClass(m), RemoteCostClass(m),
+                      MethodFamily(m) == Family::kScanningEdgeIterator});
   }
-  return cost / static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double g = GFunction(static_cast<double>(by_label[i]));
+    const double h[3] = {EvalClassH(CostClass::kT1, q[i]),
+                         EvalClassH(CostClass::kT2, q[i]),
+                         EvalClassH(CostClass::kT3, q[i])};
+    for (size_t k = 0; k < shapes.size(); ++k) {
+      double hk = h[static_cast<int>(shapes[k].local)];
+      if (shapes[k].scanning) hk += h[static_cast<int>(shapes[k].remote)];
+      costs[k] += g * hk;
+    }
+  }
+  for (double& cost : costs) cost /= static_cast<double>(n);
+  return costs;
 }
 
 }  // namespace trilist

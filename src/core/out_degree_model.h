@@ -52,4 +52,13 @@ double SequenceConditionalCost(
     const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
     Method m, const WeightFn& w = WeightFn::Identity());
 
+/// SequenceConditionalCost for several methods from one pass: entry k is
+/// bit-identical to SequenceConditionalCost(ascending_degrees, theta,
+/// methods[k], w). DegreesByLabel and the q vector are built once, and
+/// each method sums g(d_i) h(q_i) in index order into its own total.
+std::vector<double> SequenceConditionalCosts(
+    const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
+    const std::vector<Method>& methods,
+    const WeightFn& w = WeightFn::Identity());
+
 }  // namespace trilist

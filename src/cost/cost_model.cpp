@@ -36,21 +36,24 @@ double CostModel::PredictedOps(const OrientSpec& orient, Method m) const {
   const OrderingProvider& provider =
       OrderingRegistry::Instance().Of(orient.kind);
   const uint64_t seed_key = provider.seeded() ? orient.seed : 0;
-  const auto key = std::make_tuple(static_cast<int>(orient.kind), seed_key,
-                                   static_cast<int>(m));
+  const auto key = std::make_pair(static_cast<int>(orient.kind), seed_key);
+  const auto method = static_cast<size_t>(m);  // AllMethods() index
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
+    if (it != memo_.end()) return it->second[method];
   }
-  const Permutation theta =
-      provider.PricingPermutation(ascending_degrees_, orient.seed);
-  const double ops =
-      SequenceConditionalCost(ascending_degrees_, theta, m) *
-      static_cast<double>(n);
+  // One pricing pass per ordering: the permutation, labels and q vector
+  // are built once and every method is summed alongside.
+  std::vector<double> ops = SequenceConditionalCosts(
+      ascending_degrees_,
+      provider.PricingPermutation(ascending_degrees_, orient.seed),
+      AllMethods());
+  for (double& v : ops) v *= static_cast<double>(n);
+  const double result = ops[method];
   std::lock_guard<std::mutex> lock(mu_);
-  if (memo_.size() < kMaxMemo) memo_.emplace(key, ops);
-  return ops;
+  if (memo_.size() < kMaxMemo) memo_.emplace(key, std::move(ops));
+  return result;
 }
 
 double CostModel::FamilyWeight(Method m) const {

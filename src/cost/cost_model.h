@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/algo/cost.h"
@@ -52,13 +52,15 @@ struct CostModelParams {
 };
 
 /// \brief Prices (method, ordering, backend) triples for one degree
-/// sequence. Thread-safe; memoizes per (ordering key, method) up to a cap
-/// (the uniform seed is part of the key, so a seed-sweeping client could
-/// otherwise grow the memo without bound).
+/// sequence. Thread-safe. The first query for an ordering prices every
+/// method in one pass over its permutation (SequenceConditionalCosts) and
+/// memoizes the whole row per ordering key, up to a cap (the uniform seed
+/// is part of the key, so a seed-sweeping client could otherwise grow the
+/// memo without bound).
 class CostModel {
  public:
-  /// Memoized (ordering, method) entries kept; past the cap, estimates
-  /// are recomputed instead of cached.
+  /// Memoized orderings kept; past the cap, rows are recomputed instead
+  /// of cached.
   static constexpr size_t kMaxMemo = 256;
 
   /// \param ascending_degrees the realized degree sequence sorted
@@ -106,8 +108,9 @@ class CostModel {
   CostModelParams params_;
 
   mutable std::mutex mu_;
-  /// Key: (kind, seed-if-seeded, method).
-  mutable std::map<std::tuple<int, uint64_t, int>, double> memo_;
+  /// Key: (kind, seed-if-seeded); value: PredictedOps of every method,
+  /// indexed like AllMethods().
+  mutable std::map<std::pair<int, uint64_t>, std::vector<double>> memo_;
 };
 
 /// Section-3 price of maintaining the triangle count across one edge

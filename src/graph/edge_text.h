@@ -6,12 +6,13 @@
 #include <vector>
 
 /// \file edge_text.h
-/// The tolerant edge-list chunk parser shared by the in-memory ingester
+/// The one edge-list text parser, shared by the streaming reader
+/// (ReadEdgeList, src/graph/io.cpp), the in-memory ingester
 /// (src/graph/ingest.cpp) and the out-of-core conversion pipeline
-/// (src/ooc/convert.cpp). Both feed newline-aligned byte ranges through
-/// ParseEdgeTextChunk and compose the per-chunk tallies in input order,
-/// so the two paths agree line for line on what a dataset contains —
-/// same accepted records, same dropped self-loops, same error lines.
+/// (src/ooc/convert.cpp). All three feed newline-aligned byte ranges
+/// through ParseEdgeTextChunk and compose the per-chunk tallies in input
+/// order, so they agree line for line on what a dataset contains — same
+/// accepted records, same dropped self-loops, same error lines.
 ///
 /// Accepts what real dataset dumps contain: '#'/'%' comments (including
 /// the "# nodes N" header), blank lines, CRLF endings, tab separators,

@@ -1,34 +1,17 @@
 #include "src/graph/io.h"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/graph/edge_text.h"
+
 namespace trilist {
-
-namespace {
-
-/// Trims trailing whitespace (space, tab, CR) in place — the tolerant
-/// mode's answer to CRLF files and padded columns.
-void TrimTrailing(std::string* line) {
-  while (!line->empty()) {
-    const char c = line->back();
-    if (c == '\r' || c == ' ' || c == '\t') {
-      line->pop_back();
-    } else {
-      break;
-    }
-  }
-}
-
-bool IsBlank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-}  // namespace
 
 std::string IngestStats::Summary() const {
   std::ostringstream out;
@@ -57,60 +40,76 @@ void WriteEdgeList(const Graph& g, std::ostream* out) {
 Result<Graph> ReadEdgeList(std::istream* in, EdgeListMode mode,
                            IngestStats* stats) {
   const bool tolerant = mode == EdgeListMode::kTolerant;
+  const uint64_t id_limit = std::numeric_limits<NodeId>::max();
   IngestStats local;
   std::vector<Edge> edges;
-  size_t num_nodes = 0;
-  bool explicit_nodes = false;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(*in, line)) {
-    ++line_no;
-    ++local.lines;
-    if (tolerant) TrimTrailing(&line);
-    if (line.empty() || (tolerant && IsBlank(line))) {
-      ++local.blank_lines;
-      continue;
+  bool has_header = false;
+  uint64_t header_nodes = 0;
+  EdgeTextChunk chunk;
+
+  // Folds one parsed block into the totals. Parsing stops at a malformed
+  // line, so an oversized ID or header tallied before it wins.
+  const auto consume = [&]() -> Status {
+    if (chunk.max_id >= id_limit || chunk.header_nodes >= id_limit) {
+      return Status::OutOfRange("node ID too large after line " +
+                                std::to_string(local.lines));
     }
-    if (line[0] == '#' || line[0] == '%') {
-      ++local.comment_lines;
-      std::istringstream header(line.substr(1));
-      std::string word;
-      if (header >> word && word == "nodes") {
-        size_t n = 0;
-        if (header >> n) {
-          num_nodes = n;
-          explicit_nodes = true;
-        }
+    if (chunk.has_error) {
+      return Status::InvalidArgument(
+          "malformed edge at line " +
+          std::to_string(local.lines + chunk.error_line) + ": '" +
+          chunk.error_text + "'");
+    }
+    local.lines += chunk.lines;
+    local.comment_lines += chunk.comment_lines;
+    local.blank_lines += chunk.blank_lines;
+    local.edges_in += chunk.edges_in;
+    local.max_input_id = std::max(local.max_input_id, chunk.max_id);
+    if (chunk.has_header) {  // the last header wins
+      has_header = true;
+      header_nodes = chunk.header_nodes;
+    }
+    for (const RawEdgeRecord& r : chunk.records) {
+      edges.emplace_back(static_cast<NodeId>(r.first),
+                         static_cast<NodeId>(r.second));
+    }
+    // The parser sets self-loops aside: strict mode hands them back to
+    // Graph::FromEdges, which rejects them, and tolerant mode drops them.
+    if (tolerant) {
+      local.self_loops_dropped += chunk.self_loops;
+    } else {
+      for (const uint64_t id : chunk.loop_ids) {
+        edges.emplace_back(static_cast<NodeId>(id), static_cast<NodeId>(id));
       }
+    }
+    chunk.Clear();
+    return Status::OK();
+  };
+
+  // 64 KiB blocks cut after their last newline; the unfinished tail
+  // moves to the front and completes with the next read (a line longer
+  // than the buffer doubles it).
+  std::string buf(64 << 10, '\0');
+  size_t carry = 0;
+  while (true) {
+    if (carry == buf.size()) buf.resize(buf.size() * 2);
+    in->read(buf.data() + carry,
+             static_cast<std::streamsize>(buf.size() - carry));
+    const size_t filled = carry + static_cast<size_t>(in->gcount());
+    if (filled == carry) break;
+    const size_t nl = std::string_view(buf.data(), filled).rfind('\n');
+    if (nl == std::string_view::npos) {
+      carry = filled;
       continue;
     }
-    std::istringstream fields(line);
-    uint64_t u = 0;
-    uint64_t v = 0;
-    if (!(fields >> u >> v)) {
-      return Status::InvalidArgument("malformed edge at line " +
-                                     std::to_string(line_no) + ": '" +
-                                     line + "'");
-    }
-    ++local.edges_in;
-    local.max_input_id = std::max({local.max_input_id, u, v});
-    const uint64_t id_limit = std::numeric_limits<NodeId>::max();
-    if (u >= id_limit || v >= id_limit) {
-      return Status::OutOfRange("node ID too large at line " +
-                                std::to_string(line_no));
-    }
-    // The endpoint extends the implicit node count even when the record
-    // itself is a dropped self-loop, so `5 5` keeps node 5 as isolated.
-    if (!explicit_nodes) {
-      num_nodes = std::max({num_nodes, static_cast<size_t>(u) + 1,
-                            static_cast<size_t>(v) + 1});
-    }
-    if (tolerant && u == v) {
-      ++local.self_loops_dropped;
-      continue;
-    }
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    ParseEdgeTextChunk(buf.data(), buf.data() + nl + 1, &chunk);
+    TRILIST_RETURN_NOT_OK(consume());
+    carry = filled - (nl + 1);
+    std::memmove(buf.data(), buf.data() + nl + 1, carry);
   }
+  ParseEdgeTextChunk(buf.data(), buf.data() + carry, &chunk);
+  TRILIST_RETURN_NOT_OK(consume());
+
   if (tolerant) {
     // Canonicalize (min, max), then sort + unique to drop duplicates
     // regardless of the direction they were written in.
@@ -119,14 +118,14 @@ Result<Graph> ReadEdgeList(std::istream* in, EdgeListMode mode,
     }
     std::sort(edges.begin(), edges.end());
     const auto last = std::unique(edges.begin(), edges.end());
-    local.duplicates_dropped =
-        static_cast<size_t>(edges.end() - last);
+    local.duplicates_dropped = static_cast<size_t>(edges.end() - last);
     edges.erase(last, edges.end());
   }
-  local.num_nodes = num_nodes;
+  local.num_nodes = has_header          ? header_nodes
+                    : local.edges_in > 0 ? local.max_input_id + 1 : 0;
   local.num_edges = edges.size();
   if (stats != nullptr) *stats = local;
-  return Graph::FromEdges(num_nodes, edges);
+  return Graph::FromEdges(local.num_nodes, edges);
 }
 
 Status WriteEdgeListFile(const Graph& g, const std::string& path) {

@@ -13,16 +13,29 @@
 ///
 /// Format: one "u v" pair per line, whitespace separated, 0-based IDs;
 /// lines starting with '#' or '%' are comments. The node count is
-/// max ID + 1 unless a "# nodes N" header is present.
+/// max ID + 1 unless a "# nodes N" header is present (the last one wins).
+///
+/// One text parser serves all three front doors: ReadEdgeList here, the
+/// parallel ingester (src/graph/ingest.h) and the out-of-core converter
+/// (src/ooc/convert.h) all feed newline-aligned byte ranges through
+/// ParseEdgeTextChunk (src/graph/edge_text.h), so they accept the same
+/// dialect line for line. ReadEdgeList streams its input in 64 KiB
+/// blocks and numbers lines globally in its errors.
+///
+/// The dialect: a field is an unsigned decimal run that ends at a space,
+/// tab, CR or end of line, so "1 2abc" and "-1 2" are malformed
+/// (InvalidArgument); columns after the second field are ignored; blank
+/// and whitespace-only lines are skipped; an ID >= 2^32 - 1 is
+/// OutOfRange. (Before the reader shared the chunk parser it read "1 2abc"
+/// as the edge 1-2 and "-1 2" as an out-of-range ID.)
 ///
 /// Two parsing modes: kStrict (the default) enforces the library's
-/// simple-graph contract and is the round-trip inverse of WriteEdgeList;
-/// kTolerant accepts what real dataset dumps actually contain — duplicate
-/// edges (either direction), self-loops, CRLF line endings, tab
-/// separators, trailing whitespace — normalizing away the noise and
-/// reporting what it dropped. For large files prefer the chunked parallel
-/// ingester in src/graph/ingest.h, which additionally relabels sparse
-/// node IDs.
+/// simple-graph contract — a self-loop or duplicate edge is
+/// InvalidArgument — and is the round-trip inverse of WriteEdgeList;
+/// kTolerant accepts what real dataset dumps actually contain (duplicate
+/// edges in either direction, self-loops), normalizing away the noise and
+/// reporting what it dropped. The ingester additionally relabels sparse
+/// node IDs and parses on several threads.
 
 namespace trilist {
 
@@ -47,7 +60,7 @@ struct IngestStats {
 /// Parsing strictness of ReadEdgeList.
 enum class EdgeListMode {
   kStrict,    ///< Reject self-loops and duplicates (simple-graph contract).
-  kTolerant,  ///< Drop self-loops/duplicates, accept CRLF/tabs/whitespace.
+  kTolerant,  ///< Drop self-loops and duplicates.
 };
 
 /// Writes `g` as an edge list with a "# nodes N" header. Each undirected

@@ -23,13 +23,14 @@ Permutation SplitPermutation(size_t n, size_t s) {
 
 namespace {
 
-/// min over the fundamental methods of the Proposition-4 per-node cost.
+/// min over the fundamental methods of the Proposition-4 per-node cost,
+/// all four priced in one pass over theta.
 double BestFundamentalCost(const std::vector<int64_t>& ascending_degrees,
                            const Permutation& theta) {
   double best = std::numeric_limits<double>::infinity();
-  for (Method m : FundamentalMethods()) {
-    best = std::min(
-        best, SequenceConditionalCost(ascending_degrees, theta, m));
+  for (const double cost : SequenceConditionalCosts(ascending_degrees, theta,
+                                                    FundamentalMethods())) {
+    best = std::min(best, cost);
   }
   return best;
 }
@@ -40,7 +41,7 @@ size_t TailoredSplitIndex(const std::vector<int64_t>& ascending_degrees) {
   const size_t n = ascending_degrees.size();
   if (n == 0) return 0;
   // Geometric grid {0, 1, 2, 4, ...} plus the theta_D endpoint s = n:
-  // O(log n) candidates, each an O(n) model evaluation per method.
+  // O(log n) candidates, each one O(n) model pass for all methods.
   std::vector<size_t> grid{0};
   for (size_t s = 1; s < n; s *= 2) grid.push_back(s);
   grid.push_back(n);

@@ -191,6 +191,38 @@ if(NOT bad_alpha_result EQUAL 2 OR names_alpha EQUAL -1)
   message(FATAL_ERROR "--alpha 1.5x: exit ${bad_alpha_result}, "
                       "${bad_alpha_err}")
 endif()
+# --trunc names one of the two scaling rules, and --mem-budget is a byte
+# count with an optional K/M/G or KiB/MiB/GiB suffix. Anything else
+# (including trailing garbage or a size that overflows 64 bits) exits 2
+# naming the flag instead of falling back to a default.
+foreach(bad_case "trunc;bogus" "mem-budget;64Mxyz" "mem-budget;64T"
+                 "mem-budget;-1" "mem-budget;99999999999999999999"
+                 "mem-budget;17179869184G")
+  list(GET bad_case 0 bad_flag)
+  list(GET bad_case 1 bad_value)
+  if(bad_flag STREQUAL "trunc")
+    set(bad_cmd model --alpha 1.5 --n 1000 --method T1 --order D)
+  else()
+    set(bad_cmd count --in "${graph_file}" --method E1 --order D)
+  endif()
+  execute_process(
+    COMMAND "${CLI}" ${bad_cmd} --${bad_flag} "${bad_value}"
+    RESULT_VARIABLE bad_result OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err)
+  string(FIND "${bad_err}" "--${bad_flag}" names_flag)
+  if(NOT bad_result EQUAL 2 OR names_flag EQUAL -1)
+    message(FATAL_ERROR "--${bad_flag} ${bad_value}: exit ${bad_result}, "
+                        "want 2 naming the flag: ${bad_err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${CLI}" count --in "${graph_file}" --method E1 --order D
+          --mem-budget 64MiB
+  RESULT_VARIABLE budget_result OUTPUT_VARIABLE budget_out)
+string(REGEX MATCH "triangles ([0-9]+)" m_budget "${budget_out}")
+if(NOT budget_result EQUAL 0 OR NOT CMAKE_MATCH_1 STREQUAL t1)
+  message(FATAL_ERROR "--mem-budget 64MiB failed: ${budget_out}")
+endif()
 execute_process(
   COMMAND "${CLI}" count --in "${graph_file}" --method T1 --order D
           --threads 0

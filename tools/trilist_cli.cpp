@@ -113,6 +113,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstddef>
@@ -163,8 +164,8 @@ using namespace trilist;
 /// Minimal --flag parser: `--key value` pairs plus bare boolean switches
 /// (`--degree-profile`). A flag followed by another `--flag` (or nothing)
 /// is a switch; Get() returns "" for missing keys.
-/// A numeric flag whose value does not parse or is out of range. main()
-/// reports it and exits with status 2.
+/// A flag whose value does not parse or is out of range. main() reports
+/// it and exits with status 2.
 struct FlagError {
   std::string key;
   std::string value;
@@ -258,8 +259,13 @@ bool ParseOrder(const std::string& name, PermutationKind* out) {
   return true;
 }
 
-TruncationKind ParseTrunc(const std::string& name) {
-  return name == "linear" ? TruncationKind::kLinear : TruncationKind::kRoot;
+/// --trunc: "root" (the default) or "linear"; any other value throws
+/// FlagError.
+TruncationKind ParseTrunc(const Flags& flags) {
+  const std::string name = flags.Get("trunc", "root");
+  if (name == "root") return TruncationKind::kRoot;
+  if (name == "linear") return TruncationKind::kLinear;
+  throw FlagError{"trunc", name, "'root' or 'linear'"};
 }
 
 /// Raw --threads value; 0 means "all hardware threads". The runner
@@ -269,26 +275,28 @@ int ParseThreadsFlag(const Flags& flags) {
   return flags.GetInt("threads", 1);
 }
 
-/// Byte-size flag with optional K/M/G (or KiB/MiB/GiB) suffix:
-/// "--mem-budget 64M" = 64 MiB. Bare numbers are bytes. Returns `def`
-/// when the flag is absent; 0 on a malformed value (callers treat a
-/// present-but-zero budget as an error).
+/// Byte-size flag: a byte count with an optional binary suffix K, M or G
+/// (or KiB, MiB, GiB), so "--mem-budget 64M" = 64 MiB. Returns `def` when
+/// the flag is absent. Any other value (empty, another suffix, a sign, a
+/// size past 2^64 - 1) throws FlagError. Zero parses; callers reject a
+/// zero budget themselves.
 uint64_t ParseSizeFlag(const Flags& flags, const std::string& key,
                        uint64_t def) {
+  if (!flags.Has(key)) return def;
+  static const std::map<std::string, int> kShift = {
+      {"", 0},    {"K", 10}, {"KiB", 10}, {"M", 20},
+      {"MiB", 20}, {"G", 30}, {"GiB", 30}};
   const std::string v = flags.Get(key);
-  if (v.empty()) return def;
-  char* end = nullptr;
-  const unsigned long long base = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str()) return 0;
-  uint64_t scale = 1;
-  switch (*end) {
-    case 'k': case 'K': scale = 1ull << 10; break;
-    case 'm': case 'M': scale = 1ull << 20; break;
-    case 'g': case 'G': scale = 1ull << 30; break;
-    case '\0': break;
-    default: return 0;
+  uint64_t base = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), base);
+  const auto shift = kShift.find(std::string(end, v.data() + v.size()));
+  if (ec != std::errc() || shift == kShift.end() ||
+      base > (UINT64_MAX >> shift->second)) {
+    throw FlagError{key, v,
+                    "a byte count with an optional K, M, G, KiB, MiB or GiB "
+                    "suffix"};
   }
-  return base * scale;
+  return base << shift->second;
 }
 
 /// --intersect backend for the SEI kernels; returns false (after
@@ -329,7 +337,7 @@ int CmdGenerate(const Flags& flags) {
   GenerateSpec gen;
   gen.n = static_cast<size_t>(flags.GetUint("n", 100000));
   gen.alpha = flags.GetDouble("alpha", 1.7);
-  gen.truncation = ParseTrunc(flags.Get("trunc", "root"));
+  gen.truncation = ParseTrunc(flags);
   const uint64_t seed = flags.GetUint("seed", 1);
   Rng rng(seed);
   Timer timer;
@@ -512,7 +520,7 @@ int CmdRun(const Flags& flags) {
     GenerateSpec gen;
     gen.n = static_cast<size_t>(flags.GetUint("n", 100000));
     gen.alpha = flags.GetDouble("alpha", 1.7);
-    gen.truncation = ParseTrunc(flags.Get("trunc", "root"));
+    gen.truncation = ParseTrunc(flags);
     const std::string kind = flags.Get("gen", "residual");
     if (kind == "config") {
       gen.generator = GeneratorKind::kConfiguration;
@@ -809,7 +817,7 @@ int CmdInfo(const Flags& flags) {
 int CmdModel(const Flags& flags) {
   const double alpha = flags.GetDouble("alpha", 1.7);
   const auto n = static_cast<int64_t>(flags.GetUint("n", 1000000));
-  const TruncationKind trunc = ParseTrunc(flags.Get("trunc", "root"));
+  const TruncationKind trunc = ParseTrunc(flags);
   const double eps = flags.GetDouble("eps", 1e-5);
   Method method = Method::kT1;
   if (!flags.Get("method").empty() &&
