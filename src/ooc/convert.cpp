@@ -1,11 +1,13 @@
 #include "src/ooc/convert.h"
 
 #include <fcntl.h>
+#include <malloc.h>
 #include <sys/stat.h>
 #include <sys/statvfs.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -115,10 +117,11 @@ class TempStream {
 
 /// Walks the CSR neighbor temp stream as (src, dst) arcs, recovering the
 /// source from the degree counts (the stream is the concatenation of the
-/// sorted rows in node order).
+/// sorted rows in node order). `arc(src, dst)` returns a Status; a
+/// template so the per-arc call inlines.
+template <typename Arc>
 Status ReplayArcs(const TempStream& csr, std::span<const uint32_t> degrees,
-                  size_t chunk_bytes,
-                  const std::function<Status(NodeId, NodeId)>& arc) {
+                  size_t chunk_bytes, Arc&& arc) {
   NodeId src = 0;
   uint64_t left = degrees.empty() ? 0 : degrees[0];
   return csr.Replay(chunk_bytes, [&](std::span<const char> bytes) {
@@ -327,9 +330,9 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
                                          options.free_bytes_override));
 
   // ---- Stage 1: parse + spill -------------------------------------
-  // Budget split: the reader ring is capped at budget/8, the sort
-  // buffer gets half of the remainder so the merge stage (whose read
-  // buffers replace it) never overlaps with it at full size.
+  // Budget split: the reader ring is capped at budget/8 and the edge
+  // sorter's run buffer plus radix scratch get budget/2. Its merge
+  // buffers (budget/4) replace them, so the two never overlap.
   ChunkReaderOptions reader_opts;
   reader_opts.workers = options.io_workers;
   reader_opts.queue_depth = std::max(1, options.queue_depth);
@@ -366,17 +369,24 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
           std::to_string(stats.lines + parsed.error_line) + ": '" +
           parsed.error_text + "'");
     }
+    // Both arcs of every record, handed to the sorter a block at a time.
+    std::array<uint64_t, 4096> block;
+    size_t fill = 0;
     for (const RawEdgeRecord& e : parsed.records) {
       if (e.first > kMaxRawId || e.second > kMaxRawId) {
         return Status::OutOfRange(
             "graph too large for 32-bit node IDs: saw node " +
             std::to_string(std::max(e.first, e.second)));
       }
-      TRILIST_RETURN_NOT_OK(
-          edge_sorter.Add(e.first << 32 | e.second));
-      TRILIST_RETURN_NOT_OK(
-          edge_sorter.Add(e.second << 32 | e.first));
+      block[fill++] = e.first << 32 | e.second;
+      block[fill++] = e.second << 32 | e.first;
+      if (fill == block.size()) {
+        TRILIST_RETURN_NOT_OK(edge_sorter.AddBatch(block));
+        fill = 0;
+      }
     }
+    TRILIST_RETURN_NOT_OK(edge_sorter.AddBatch(
+        std::span<const uint64_t>(block.data(), fill)));
     stats.lines += parsed.lines;
     stats.comment_lines += parsed.comment_lines;
     stats.blank_lines += parsed.blank_lines;
@@ -541,8 +551,9 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
     // out-arc when the neighbor's label is smaller, an in-arc
     // otherwise — the same test FromLabels applies.
     // Both sorters are live while the arcs replay, so each gets an
-    // eighth of the budget for its sort buffer (a sixteenth for merge):
-    // together they stay within the half the edge sorter used alone.
+    // eighth of the budget for its run buffer and scratch (a sixteenth
+    // for merge): together they stay within the half the edge sorter
+    // used alone.
     ExternalU64Sorter out_sorter(options.tmpdir, budget / 8, budget / 16);
     ExternalU64Sorter in_sorter(options.tmpdir, budget / 8, budget / 16);
     std::vector<uint32_t> out_count(n, 0);
@@ -609,6 +620,14 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
     report.output_bytes = static_cast<int64_t>(out_st.st_size);
   }
   report.ingest = stats;
+#if defined(__GLIBC__)
+  // Every edge-sized buffer is freed by now, but glibc keeps freed heap
+  // pages resident (the buffers come from the heap once its dynamic
+  // mmap threshold has risen past them), and the next conversion in
+  // this process lays its buffers out partly beside them: RSS would
+  // creep past the budget job by job. Hand the pages back.
+  malloc_trim(0);
+#endif
   report.total_seconds = SecondsSince(t_start);
   return report;
 }

@@ -24,8 +24,9 @@
 ///   1. parse   — ChunkReader (O_DIRECT + pread worker queue) feeds the
 ///                shared tolerant parser; every kept record contributes
 ///                both directed arcs, packed (src << 32 | dst), to an
-///                ExternalU64Sorter. Sorted runs spill to `tmpdir`.
-///   2. merge   — k-way merge with fused dedupe. Because both arc
+///                ExternalU64Sorter. Radix-sorted runs spill to
+///                `tmpdir`.
+///   2. merge   — loser-tree merge with fused dedupe. Because both arc
 ///                directions were inserted, the global u64 dedupe IS the
 ///                either-direction edge dedupe, and the merged stream in
 ///                (src, dst) order is the CSR neighbor stream verbatim.

@@ -223,6 +223,34 @@ string(REGEX MATCH "triangles ([0-9]+)" m_budget "${budget_out}")
 if(NOT budget_result EQUAL 0 OR NOT CMAKE_MATCH_1 STREQUAL t1)
   message(FATAL_ERROR "--mem-budget 64MiB failed: ${budget_out}")
 endif()
+# The paged count (--mem-budget on a .tlg) is one serial pass of merge
+# intersections. Junk values, and any --threads or --intersect value it
+# cannot honor, exit 2 naming the flag; the values it can honor count.
+foreach(bad_case "intersect;bogus" "intersect;simd" "intersect;gallop"
+                 "threads;abc" "threads;4")
+  list(GET bad_case 0 bad_flag)
+  list(GET bad_case 1 bad_value)
+  execute_process(
+    COMMAND "${CLI}" count --in "${tlg_file}" --method E1 --order D
+            --mem-budget 64M --${bad_flag} "${bad_value}"
+    RESULT_VARIABLE bad_result OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err)
+  string(FIND "${bad_err}" "--${bad_flag}" names_flag)
+  if(NOT bad_result EQUAL 2 OR names_flag EQUAL -1)
+    message(FATAL_ERROR "paged count --${bad_flag} ${bad_value}: exit "
+                        "${bad_result}, want 2 naming the flag: ${bad_err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${CLI}" count --in "${tlg_file}" --method E1 --order D
+          --mem-budget 64M --threads 1 --intersect merge
+  RESULT_VARIABLE paged_result OUTPUT_VARIABLE paged_out)
+string(REGEX MATCH "triangles ([0-9]+)" m_paged "${paged_out}")
+if(NOT paged_result EQUAL 0 OR NOT CMAKE_MATCH_1 STREQUAL t1 OR
+   NOT paged_out MATCHES "paged")
+  message(FATAL_ERROR "paged count with --threads 1 --intersect merge "
+                      "failed: ${paged_out}")
+endif()
 execute_process(
   COMMAND "${CLI}" count --in "${graph_file}" --method T1 --order D
           --threads 0

@@ -299,20 +299,15 @@ uint64_t ParseSizeFlag(const Flags& flags, const std::string& key,
   return base << shift->second;
 }
 
-/// --intersect backend for the SEI kernels; returns false (after
-/// reporting) on an unknown name.
-bool ParseIntersectFlag(const Flags& flags, ExecPolicy* exec) {
+/// --intersect backend for the SEI kernels; an unknown name throws
+/// FlagError.
+void ParseIntersectFlag(const Flags& flags, ExecPolicy* exec) {
   const std::string name = flags.Get("intersect");
-  if (name.empty()) return true;
+  if (name.empty()) return;
   if (!ParseIntersectBackend(name.c_str(), &exec->intersect)) {
-    std::fprintf(stderr,
-                 "unknown intersect backend '%s' "
-                 "(merge|gallop|auto|simd|bitmap)\n",
-                 name.c_str());
-    return false;
+    throw FlagError{"intersect", name, "merge, gallop, auto, simd or bitmap"};
   }
   exec->bitmap_min_degree = flags.GetInt("bitmap-min-degree", 0);
-  return true;
 }
 
 /// Writes `content` to `path`, reporting failures on stderr.
@@ -402,6 +397,10 @@ int CmdCount(const Flags& flags) {
     return 2;
   }
 
+  ExecPolicy exec;
+  exec.threads = ParseThreadsFlag(flags);
+  ParseIntersectFlag(flags, &exec);
+
   // A budgeted count over a .tlg container takes the true out-of-core
   // path: demand-paged mmap, partitioned E1/E2 passes, and eviction
   // chasing the stream cursor (src/ooc/paged_count.h). Text inputs (and
@@ -409,6 +408,22 @@ int CmdCount(const Flags& flags) {
   // partitioned executors below.
   if (mem_budget > 0 && LooksLikeTlgFile(in) &&
       (method == Method::kE1 || method == Method::kE2)) {
+    // That path is one serial pass of merge intersections; refuse what
+    // it would otherwise silently ignore.
+    if (exec.threads != 1) {
+      std::fprintf(stderr,
+                   "count: --threads %d: the paged count (--mem-budget on "
+                   "a .tlg) runs on one thread\n",
+                   exec.threads);
+      return 2;
+    }
+    if (exec.intersect != IntersectBackend::kMerge) {
+      std::fprintf(stderr,
+                   "count: --intersect %s: the paged count (--mem-budget "
+                   "on a .tlg) intersects by merge only\n",
+                   flags.Get("intersect").c_str());
+      return 2;
+    }
     ooc::OocCountOptions copts;
     copts.mem_budget_bytes = static_cast<int64_t>(mem_budget);
     copts.spec = OrientSpec{order, flags.GetUint("seed", 1)};
@@ -442,9 +457,8 @@ int CmdCount(const Flags& flags) {
   spec.orient = OrientSpec{order, flags.GetUint("seed", 1)};
   spec.plan = plan;
   spec.methods = {method};
-  spec.exec.threads = ParseThreadsFlag(flags);
+  spec.exec = exec;
   spec.mem_budget_bytes = static_cast<int64_t>(mem_budget);
-  if (!ParseIntersectFlag(flags, &spec.exec)) return 2;
   // "--intersect auto" under an active planner means "let the planner
   // price the backends"; on its own it stays the legacy ratio-adaptive
   // kernel pick.
@@ -555,7 +569,7 @@ int CmdRun(const Flags& flags) {
     return 2;
   }
   spec.exec.threads = ParseThreadsFlag(flags);
-  if (!ParseIntersectFlag(flags, &spec.exec)) return 2;
+  ParseIntersectFlag(flags, &spec.exec);
   if (flags.Get("intersect") == "auto" && spec.plan.Any()) {
     spec.plan.intersect = true;
     spec.exec.intersect = IntersectBackend::kMerge;
