@@ -10,10 +10,11 @@
 /// restrictions of an adjacency row that every SEI intersection operates
 /// on. They are the one copy used by the shared kernel bodies
 /// (kernel_body.h, and hence both the serial and the parallel runs), the
-/// other serial kernels, and the partitioned and paged executors
-/// (src/xm, src/ooc). Together with IntersectMergeT (intersect.h) they
-/// are why every executor reports bit-identical scan and
-/// merge_comparisons counters: all of them execute the same loops.
+/// other serial kernels, and the one partitioned pass that the
+/// partitioned and paged executors share (src/xm/partition_pass.h).
+/// Together with IntersectMergeT (intersect.h) they are why every
+/// executor reports bit-identical scan and merge_comparisons counters:
+/// all of them execute the same loops.
 
 namespace trilist {
 namespace sei {

@@ -3,45 +3,70 @@
 #include <algorithm>
 #include <span>
 
-#include "src/algo/intersect.h"
-#include "src/algo/sei_common.h"
+#include "src/algo/kernel_body.h"  // CountEmit
 #include "src/graph/binfmt.h"
+#include "src/xm/partition_pass.h"
 
 namespace trilist::ooc {
 
 namespace {
 
-constexpr int64_t kBytesPerId = static_cast<int64_t>(sizeof(NodeId));
-
-int64_t OutListBytes(const OrientedGraph& g, NodeId lo, NodeId hi) {
-  int64_t bytes = 0;
-  for (NodeId v = lo; v < hi; ++v) {
-    bytes += g.OutDegree(v) * kBytesPerId;
-  }
-  return bytes;
-}
-
-/// Evicts page-cache residency of a neighbor-array slice, excluding the
-/// overlap with a protected (resident-partition) slice of the same
-/// array. All pointers live inside the mapped file.
-class Evictor {
+/// The pager of a paged pass: the resident partition's out-lists stay
+/// mapped for the whole pass, and streamed rows inside the mapped file
+/// are dropped once the cursor has moved `window_bytes` past them.
+class EvictingPager {
  public:
-  Evictor(const MmapFile* file, int64_t* evictions)
-      : file_(file),
+  EvictingPager(const OrientedGraph& g, const MmapFile* file,
+                int64_t window_bytes, int64_t* evictions)
+      : g_(g),
+        file_(file),
         base_(reinterpret_cast<const char*>(file->bytes().data())),
+        window_bytes_(window_bytes),
         evictions_(evictions) {}
 
-  /// Protects [keep_begin, keep_end): Evict calls never drop it.
-  void Protect(const NodeId* keep_begin, const NodeId* keep_end) {
-    keep_begin_ = reinterpret_cast<const char*>(keep_begin);
-    keep_end_ = reinterpret_cast<const char*>(keep_end);
+  void BeginPass(NodeId lo, NodeId hi) {
+    keep_begin_ = RowStart(/*out=*/true, lo);
+    keep_end_ = RowStart(/*out=*/true, hi);
+    mark_ = 0;
+    pending_ = 0;
   }
 
-  void Evict(const NodeId* begin, const NodeId* end) {
-    const char* lo = reinterpret_cast<const char*>(begin);
-    const char* hi = reinterpret_cast<const char*>(end);
+  void AfterRow(NodeId v) {
+    pending_ += g_.TotalDegree(v) * static_cast<int64_t>(sizeof(NodeId));
+    if (pending_ < window_bytes_) return;
+    // Drop the rows streamed since the last drop; row v goes with the
+    // next one.
+    DropRows(mark_, v);
+    mark_ = v;
+    pending_ = 0;
+  }
+
+  void EndPass() {
+    // Release the rest of the streamed rows (the next pass restarts from
+    // label 0), then the resident partition.
+    DropRows(mark_, g_.num_nodes());
+    EvictBytes(keep_begin_, keep_end_);
+  }
+
+ private:
+  /// First byte of row v of the out- or in-adjacency.
+  const char* RowStart(bool out, size_t v) const {
+    const NodeId* ids = out ? g_.RawOutNeighbors().data()
+                            : g_.RawInNeighbors().data();
+    return reinterpret_cast<const char*>(
+        ids + (out ? g_.RawOutOffsets() : g_.RawInOffsets())[v]);
+  }
+
+  /// Evicts the out- and in-rows of labels [from, to), sparing the
+  /// resident partition.
+  void DropRows(size_t from, size_t to) {
+    for (const bool out : {true, false}) {
+      DropSpared(RowStart(out, from), RowStart(out, to));
+    }
+  }
+
+  void DropSpared(const char* lo, const char* hi) {
     if (keep_begin_ < keep_end_ && lo < keep_end_ && keep_begin_ < hi) {
-      // Split around the protected range.
       EvictBytes(lo, std::min(hi, keep_begin_));
       EvictBytes(std::max(lo, keep_end_), hi);
       return;
@@ -49,7 +74,6 @@ class Evictor {
     EvictBytes(lo, hi);
   }
 
- private:
   void EvictBytes(const char* lo, const char* hi) {
     if (lo >= hi) return;
     file_->Evict(static_cast<size_t>(lo - base_),
@@ -57,101 +81,16 @@ class Evictor {
     ++*evictions_;
   }
 
+  const OrientedGraph& g_;
   const MmapFile* file_;
   const char* base_;
-  const char* keep_begin_ = nullptr;
-  const char* keep_end_ = nullptr;
+  const int64_t window_bytes_;
   int64_t* evictions_;
+  const char* keep_begin_ = nullptr;  // the resident partition's bytes
+  const char* keep_end_ = nullptr;
+  size_t mark_ = 0;      // first row not yet dropped
+  int64_t pending_ = 0;  // bytes streamed since the last drop
 };
-
-/// One E1- or E2-style partitioned run with eviction chasing the stream
-/// cursor. The loop body mirrors src/xm/partitioned.cpp statement for
-/// statement, so OpCounts and the IoStats ledger come out identical to
-/// the simulated executors — what changes is that streamed pages are
-/// dropped once the cursor has moved `window_bytes` past them. Only the
-/// count is wanted, so the run keeps no triangles: ops.triangles is it.
-OocCountResult RunPaged(const OrientedGraph& g, const MmapFile* file,
-                        const Partitioning& parts, int64_t window_bytes,
-                        bool use_e2) {
-  OocCountResult result;
-  result.mmap_backed = file->is_mapped();
-  const size_t n = g.num_nodes();
-  const std::span<const NodeId> all_out = g.RawOutNeighbors();
-  const std::span<const NodeId> all_in = g.RawInNeighbors();
-
-  for (size_t p = 0; p < parts.num_partitions(); ++p) {
-    const NodeId lo = parts.lower(p);
-    const NodeId hi = parts.upper(p);
-    ++result.io.passes;
-    result.io.bytes_loaded += OutListBytes(g, lo, hi);
-    ++result.partitions;
-
-    Evictor evictor(file, &result.evictions);
-    // The resident partition: out-lists of [lo, hi) stay mapped for the
-    // whole pass (E1 probes them as wedge apexes / E2 as local lists).
-    const NodeId* keep_begin = all_out.data() + g.RawOutOffsets()[lo];
-    const NodeId* keep_end = all_out.data() + g.RawOutOffsets()[hi];
-    evictor.Protect(keep_begin, keep_end);
-
-    // Stream cursor bookkeeping: rows [evict_mark, cursor) have been
-    // streamed but not yet dropped.
-    size_t out_evict_mark = 0;  // row start index into all_out
-    size_t in_evict_mark = 0;   // row start index into all_in
-    int64_t pending = 0;        // bytes streamed since the last drop
-
-    for (size_t yi = 0; yi < n; ++yi) {
-      const auto y = static_cast<NodeId>(yi);
-      const auto streamed = g.OutNeighbors(y);
-      result.io.bytes_streamed +=
-          static_cast<int64_t>(streamed.size()) * kBytesPerId;
-      if (!use_e2) {
-        for (const NodeId z : sei::RangeWithin(g.InNeighbors(y), lo, hi)) {
-          const auto local = sei::PrefixBelow(g.OutNeighbors(z), y);
-          result.ops.local_scans += static_cast<int64_t>(local.size());
-          result.ops.remote_scans +=
-              static_cast<int64_t>(streamed.size());
-          result.ops.merge_comparisons += IntersectMergeT(
-              local, streamed, [&](NodeId) { ++result.ops.triangles; });
-        }
-      } else {
-        for (const NodeId w : sei::RangeWithin(streamed, lo, hi)) {
-          const auto local = g.OutNeighbors(w);  // resident
-          const auto remote = sei::PrefixBelow(streamed, w);
-          result.ops.local_scans += static_cast<int64_t>(local.size());
-          result.ops.remote_scans += static_cast<int64_t>(remote.size());
-          result.ops.merge_comparisons += IntersectMergeT(
-              local, remote, [&](NodeId) { ++result.ops.triangles; });
-        }
-      }
-      pending +=
-          static_cast<int64_t>(streamed.size() + g.InNeighbors(y).size()) *
-          kBytesPerId;
-      if (pending >= window_bytes) {
-        // Drop everything strictly behind the cursor; row y itself may
-        // still be partially needed by the merge above, so stop at its
-        // start.
-        const size_t out_row = g.RawOutOffsets()[y];
-        const size_t in_row = g.RawInOffsets()[y];
-        evictor.Evict(all_out.data() + out_evict_mark,
-                      all_out.data() + out_row);
-        evictor.Evict(all_in.data() + in_evict_mark,
-                      all_in.data() + in_row);
-        out_evict_mark = out_row;
-        in_evict_mark = in_row;
-        pending = 0;
-      }
-    }
-    // End of pass: release the rest of the streamed window (the next
-    // pass restarts from label 0) and the old resident partition.
-    evictor.Evict(all_out.data() + out_evict_mark,
-                  all_out.data() + all_out.size());
-    evictor.Evict(all_in.data() + in_evict_mark,
-                  all_in.data() + all_in.size());
-    evictor.Protect(nullptr, nullptr);
-    evictor.Evict(keep_begin, keep_end);
-  }
-  return result;
-}
 
 }  // namespace
 
@@ -177,7 +116,16 @@ Result<OocCountResult> OocCountTlg(const std::string& path,
   const Partitioning parts =
       Partitioning::ForMemoryBudget(*og, budget / 2);
   const int64_t window = std::max<int64_t>(budget / 8, 1ll << 20);
-  return RunPaged(*og, file.backing(), parts, window, options.use_e2);
+  OocCountResult result;  // count only: ops.triangles is the answer
+  result.mmap_backed = file.backing()->is_mapped();
+  EvictingPager pager(*og, file.backing(), window, &result.evictions);
+  result.ops = options.use_e2
+                   ? xm::RunPartitionPasses<Method::kE2>(
+                         *og, parts, kernel::CountEmit{}, pager, &result.io)
+                   : xm::RunPartitionPasses<Method::kE1>(
+                         *og, parts, kernel::CountEmit{}, pager, &result.io);
+  result.partitions = result.io.passes;
+  return result;
 }
 
 }  // namespace trilist::ooc

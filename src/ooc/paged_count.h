@@ -9,13 +9,13 @@
 #include "src/xm/partitioned.h"        // IoStats
 
 /// \file paged_count.h
-/// T1 triangle counting over a `.tlg` file that never fully enters
+/// E1/E2 triangle counting over a `.tlg` file that never fully enters
 /// memory: the container is opened in paged mode (demand-paged mmap, no
 /// readahead — see TlgLoadOptions::paged), the label space is split into
-/// partitions that fit the budget, and the partitioned E1/E2 executors'
-/// access pattern is replayed with MADV_DONTNEED eviction chasing the
-/// stream cursor, so pages behind it are handed back to the kernel
-/// instead of accumulating in RSS.
+/// partitions that fit the budget, and src/xm's partitioned pass runs
+/// with MADV_DONTNEED eviction chasing the stream cursor, so pages
+/// behind it are handed back to the kernel instead of accumulating in
+/// RSS.
 ///
 /// This is the priced realization of the src/xm cost model: the IoStats
 /// ledger those simulated executors report (bytes loaded per partition,
@@ -23,15 +23,15 @@
 /// the resident partition's out-lists stay mapped for the whole pass
 /// while every streamed list is touched once and then evicted. Triangle
 /// counts and CPU OpCounts are identical to the in-memory RunE1/RunE2 by
-/// construction (the loop is the same; only page residency differs).
+/// construction (the pass is the same; only page residency differs).
 
 namespace trilist::ooc {
 
 /// Knobs for OocCountTlg.
 struct OocCountOptions {
   /// Hard budget for edge-sized resident data. Half funds the resident
-  /// partition (Partitioning::ForMemoryBudget), half the streaming
-  /// window ahead of the eviction cursor. Floor 1 MiB.
+  /// partition (Partitioning::ForMemoryBudget), an eighth the streamed
+  /// window between evictions; the rest is headroom. Floor 1 MiB.
   int64_t mem_budget_bytes = 256ll << 20;
   /// Which embedded orientation to run on; the file must cache it
   /// (`convert` embeds theta_D by default).

@@ -2,23 +2,15 @@
 
 #include <algorithm>
 
-#include "src/algo/intersect.h"
-#include "src/algo/sei_common.h"
+#include "src/algo/kernel_body.h"
 #include "src/util/status.h"
+#include "src/xm/partition_pass.h"
 
 namespace trilist {
 
 namespace {
 
 constexpr int64_t kBytesPerId = static_cast<int64_t>(sizeof(NodeId));
-
-int64_t OutListBytes(const OrientedGraph& g, NodeId lo, NodeId hi) {
-  int64_t bytes = 0;
-  for (NodeId v = lo; v < hi; ++v) {
-    bytes += g.OutDegree(v) * kBytesPerId;
-  }
-  return bytes;
-}
 
 }  // namespace
 
@@ -30,7 +22,7 @@ Partitioning::Partitioning(const OrientedGraph& g, size_t max_partitions) {
     bounds_.push_back(0);
     return;
   }
-  const int64_t total = OutListBytes(g, 0, static_cast<NodeId>(n));
+  const auto total = static_cast<int64_t>(g.num_arcs()) * kBytesPerId;
   const int64_t target = std::max<int64_t>(
       1, (total + static_cast<int64_t>(max_partitions) - 1) /
              static_cast<int64_t>(max_partitions));
@@ -50,8 +42,7 @@ Partitioning::Partitioning(const OrientedGraph& g, size_t max_partitions) {
 Partitioning Partitioning::ForMemoryBudget(const OrientedGraph& g,
                                            int64_t budget_bytes) {
   TRILIST_DCHECK(budget_bytes > 0);
-  const int64_t total =
-      OutListBytes(g, 0, static_cast<NodeId>(g.num_nodes()));
+  const auto total = static_cast<int64_t>(g.num_arcs()) * kBytesPerId;
   const auto k = static_cast<size_t>(
       std::max<int64_t>(1, (total + budget_bytes - 1) / budget_bytes));
   return Partitioning(g, k);
@@ -59,64 +50,18 @@ Partitioning Partitioning::ForMemoryBudget(const OrientedGraph& g,
 
 OpCounts RunPartitionedE1(const OrientedGraph& g, const Partitioning& parts,
                           TriangleSink* sink, IoStats* io) {
-  OpCounts ops;
-  IoStats ledger;
-  const size_t n = g.num_nodes();
-  for (size_t p = 0; p < parts.num_partitions(); ++p) {
-    const NodeId lo = parts.lower(p);
-    const NodeId hi = parts.upper(p);
-    ++ledger.passes;
-    ledger.bytes_loaded += OutListBytes(g, lo, hi);
-    // Stream every out-list once; complete wedges with apex z in [lo, hi).
-    for (size_t yi = 0; yi < n; ++yi) {
-      const auto y = static_cast<NodeId>(yi);
-      const auto remote = g.OutNeighbors(y);
-      ledger.bytes_streamed +=
-          static_cast<int64_t>(remote.size()) * kBytesPerId;
-      for (const NodeId z : sei::RangeWithin(g.InNeighbors(y), lo, hi)) {
-        const auto local = sei::PrefixBelow(g.OutNeighbors(z), y);
-        ops.local_scans += static_cast<int64_t>(local.size());
-        ops.remote_scans += static_cast<int64_t>(remote.size());
-        ops.merge_comparisons += IntersectMergeT(local, remote, [&](NodeId x) {
-          ++ops.triangles;
-          sink->Consume(x, y, z);
-        });
-      }
-    }
-  }
-  if (io != nullptr) *io = ledger;
-  return ops;
+  xm::NoPager pager;
+  return kernel::RunToSink(sink, nullptr, [&](auto emit, auto) {
+    return xm::RunPartitionPasses<Method::kE1>(g, parts, emit, pager, io);
+  });
 }
 
 OpCounts RunPartitionedE2(const OrientedGraph& g, const Partitioning& parts,
                           TriangleSink* sink, IoStats* io) {
-  OpCounts ops;
-  IoStats ledger;
-  const size_t n = g.num_nodes();
-  for (size_t p = 0; p < parts.num_partitions(); ++p) {
-    const NodeId lo = parts.lower(p);
-    const NodeId hi = parts.upper(p);
-    ++ledger.passes;
-    ledger.bytes_loaded += OutListBytes(g, lo, hi);
-    for (size_t zi = 0; zi < n; ++zi) {
-      const auto z = static_cast<NodeId>(zi);
-      const auto streamed = g.OutNeighbors(z);
-      ledger.bytes_streamed +=
-          static_cast<int64_t>(streamed.size()) * kBytesPerId;
-      for (const NodeId y : sei::RangeWithin(streamed, lo, hi)) {
-        const auto local = g.OutNeighbors(y);  // resident
-        const auto remote = sei::PrefixBelow(streamed, y);
-        ops.local_scans += static_cast<int64_t>(local.size());
-        ops.remote_scans += static_cast<int64_t>(remote.size());
-        ops.merge_comparisons += IntersectMergeT(local, remote, [&](NodeId x) {
-          ++ops.triangles;
-          sink->Consume(x, y, z);
-        });
-      }
-    }
-  }
-  if (io != nullptr) *io = ledger;
-  return ops;
+  xm::NoPager pager;
+  return kernel::RunToSink(sink, nullptr, [&](auto emit, auto) {
+    return xm::RunPartitionPasses<Method::kE2>(g, parts, emit, pager, io);
+  });
 }
 
 }  // namespace trilist

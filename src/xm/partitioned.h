@@ -30,7 +30,9 @@
 /// CPU-cost counters; what changes is the I/O ledger: resident bytes are
 /// loaded once per partition (sum = graph size), streamed bytes cost a
 /// full scan per pass (K * graph size). The IoStats struct exposes this
-/// ledger so partitioning policies can be compared quantitatively.
+/// ledger so partitioning policies can be compared quantitatively. Both
+/// run xm::RunPartitionPasses (partition_pass.h), as the paged counter
+/// (src/ooc/paged_count.h) does.
 
 namespace trilist {
 

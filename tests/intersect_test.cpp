@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <span>
 #include <vector>
@@ -387,6 +388,131 @@ TEST(SimdIntersectTest, ForcedScalarLevelStillCorrect) {
   EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
   // Restore runtime dispatch for other tests in this process.
   SetActiveSimdLevelForTest(DetectedSimdLevel());
+}
+
+// ---------------------------------------------------------------------------
+// IntersectMergeT's two loop shapes against the one branchy loop.
+
+/// The branchy three-way merge loop: the reference state machine. Both
+/// of IntersectMergeT's loop shapes must take exactly these steps.
+template <typename Emit>
+int64_t BranchyMerge(std::span<const NodeId> a, std::span<const NodeId> b,
+                     Emit&& emit) {
+  int64_t comparisons = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    ++comparisons;
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      emit(a[i]);
+      ++i;
+      ++j;
+    }
+  }
+  return comparisons;
+}
+
+/// Runs both loops on (a, b) and on (b, a), expecting the same
+/// comparisons and the same emitted sequence.
+void ExpectMergeMatchesBranchy(const std::vector<NodeId>& a,
+                               const std::vector<NodeId>& b) {
+  for (const bool swapped : {false, true}) {
+    const std::span<const NodeId> x = swapped ? b : a;
+    const std::span<const NodeId> y = swapped ? a : b;
+    std::vector<NodeId> want;
+    const int64_t want_cmp =
+        BranchyMerge(x, y, [&want](NodeId v) { want.push_back(v); });
+    std::vector<NodeId> got;
+    const int64_t got_cmp =
+        IntersectMergeT(x, y, [&got](NodeId v) { got.push_back(v); });
+    ASSERT_EQ(got_cmp, want_cmp) << "|a|=" << x.size() << " |b|=" << y.size();
+    ASSERT_EQ(got, want) << "|a|=" << x.size() << " |b|=" << y.size();
+  }
+}
+
+/// `len` distinct values from [0, universe), sorted (selection sampling;
+/// needs len <= universe).
+std::vector<NodeId> SortedDistinct(Rng* rng, size_t len, uint64_t universe) {
+  std::vector<NodeId> values;
+  for (uint64_t v = 0; values.size() < len; ++v) {
+    // Keep v with probability (still needed) / (still available).
+    if (rng->NextBounded(universe - v) < len - values.size()) {
+      values.push_back(static_cast<NodeId>(v));
+    }
+  }
+  return values;
+}
+
+/// `len` values from [0, universe), unsorted and possibly repeated.
+std::vector<NodeId> RandomValues(Rng* rng, size_t len, uint64_t universe) {
+  std::vector<NodeId> values(len);
+  for (auto& v : values) v = static_cast<NodeId>(rng->NextBounded(universe));
+  return values;
+}
+
+TEST(IntersectMergeShapesTest, BranchFreeExactlyWithinFourTimes) {
+  using intersect_internal::MergeIsBalanced;
+  EXPECT_TRUE(MergeIsBalanced(0, 0));
+  EXPECT_FALSE(MergeIsBalanced(0, 1));
+  EXPECT_FALSE(MergeIsBalanced(1, 0));
+  EXPECT_TRUE(MergeIsBalanced(10, 10));
+  EXPECT_TRUE(MergeIsBalanced(39, 10));
+  EXPECT_TRUE(MergeIsBalanced(40, 10));
+  EXPECT_TRUE(MergeIsBalanced(10, 40));
+  EXPECT_FALSE(MergeIsBalanced(41, 10));
+  EXPECT_FALSE(MergeIsBalanced(10, 41));
+  EXPECT_FALSE(MergeIsBalanced(500, 10));
+}
+
+TEST(IntersectMergeShapesTest, SortedSpansAtEveryLengthRatio) {
+  // 6 x 1700 pairs, each run in both argument orders. Short spans have
+  // 10..60 elements, so 3.9x and 4x land on the branch-free side of the
+  // threshold and 4.1x on the branchy side; 0x pairs one empty span.
+  Rng rng(43);
+  const double kRatios[] = {0.0, 1.0, 3.9, 4.0, 4.1, 50.0};
+  for (const double ratio : kRatios) {
+    for (int trial = 0; trial < 1700; ++trial) {
+      const size_t short_len = 10 + rng.NextBounded(51);
+      const auto long_len = static_cast<size_t>(
+          std::llround(ratio * static_cast<double>(short_len)));
+      // Universes from 1x to 4x the combined length: dense to sparse
+      // match rates.
+      const uint64_t universe =
+          (short_len + long_len) * (1 + rng.NextBounded(4));
+      const auto a = SortedDistinct(&rng, short_len, universe);
+      const auto b = SortedDistinct(&rng, long_len, universe);
+      ASSERT_EQ(intersect_internal::MergeIsBalanced(a.size(), b.size()),
+                ratio > 0.0 && ratio <= 4.0);
+      ExpectMergeMatchesBranchy(a, b);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "ratio " << ratio << ", trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(IntersectMergeShapesTest, DuplicateBearingAndUnsortedSpans) {
+  Rng rng(47);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t la = rng.NextBounded(80);
+    const size_t lb = trial % 2 == 0 ? la + rng.NextBounded(4 * la + 1)
+                                     : rng.NextBounded(600);
+    // Small universes force repeats; sorting half of them gives
+    // duplicate-bearing sorted spans, the rest stay unsorted.
+    const uint64_t universe = 1 + rng.NextBounded(3 * (la + lb) / 2 + 1);
+    auto a = RandomValues(&rng, la, universe);
+    auto b = RandomValues(&rng, lb, universe);
+    if (trial % 4 < 2) {
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+    }
+    ExpectMergeMatchesBranchy(a, b);
+    if (::testing::Test::HasFatalFailure()) FAIL() << "trial " << trial;
+  }
 }
 
 TEST(CpuFeaturesTest, ResolveSimdLevelRules) {

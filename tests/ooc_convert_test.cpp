@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/algo/registry.h"
 #include "src/algo/triangle_sink.h"
 #include "src/algo/vertex_iterator.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/graph/binfmt.h"
+#include "src/graph/builder.h"
 #include "src/graph/graph.h"
 #include "src/graph/ingest.h"
 #include "src/graph/io.h"
@@ -200,51 +204,99 @@ TEST(OocConvertTest, TmpdirSpaceCheckFailsFastWithClearMessage) {
   EXPECT_FALSE(direct.ok());
 }
 
+/// A G(n, p) edge-list file plus a hub adjacent to every even node. Its
+/// ~1.5 MB of out-lists split into 1, 2 or >= 3 paged partitions at
+/// budgets of 8, 2 and 1 MiB; under the ascending order the hub takes the
+/// top label, so its out-list crosses every partition boundary.
+std::string HubbedEdgeListFile(const std::string& name) {
+  constexpr size_t kNodes = 20000;
+  Rng rng(47);
+  const Graph gnp = GenerateGnp(kNodes, 0.0018, &rng);
+  GraphBuilder builder(kNodes + 1);
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (const NodeId v : gnp.Neighbors(u)) {
+      if (u < v) builder.AddEdge(u, v);
+    }
+    if (u % 2 == 0) builder.AddEdge(kNodes, u);
+  }
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(
+      WriteEdgeListFile(std::move(builder).Build().ValueOrDie(), path).ok());
+  return path;
+}
+
 TEST(OocPagedCountTest, MatchesInMemoryExecutorsAndLedger) {
-  const std::string text = SampleEdgeListFile("ooc_count.txt");
+  const std::string text = HubbedEdgeListFile("ooc_count.txt");
   const std::string path = TempPath("ooc_count.tlg");
+  const std::vector<OrientSpec> specs = {{PermutationKind::kDescending, 0},
+                                         {PermutationKind::kAscending, 0}};
   OocConvertOptions options = TightOptions();
-  options.orientations = {{PermutationKind::kDescending, 0}};
+  options.orientations = specs;
   ASSERT_TRUE(OocConvertFile(text, path, options).ok());
 
   auto t = TlgFile::Open(path);
   ASSERT_TRUE(t.ok());
-  const OrientedGraph* og =
-      t->FindOrientation({PermutationKind::kDescending, 0});
-  ASSERT_NE(og, nullptr);
+  for (const OrientSpec& spec : specs) {
+    const OrientedGraph* og = t->FindOrientation(spec);
+    ASSERT_NE(og, nullptr);
+    const bool ascending = spec.kind == PermutationKind::kAscending;
+    const auto hub =
+        og->OutNeighbors(static_cast<NodeId>(og->num_nodes() - 1));
+    CountingSink e1_sink;
+    CountingSink e2_sink;
+    const OpCounts in_memory[] = {RunMethod(Method::kE1, *og, &e1_sink),
+                                  RunMethod(Method::kE2, *og, &e2_sink)};
+    // Budgets and the partition counts they give (3 meaning >= 3).
+    const std::pair<int64_t, size_t> budgets[] = {
+        {8 << 20, 1}, {2 << 20, 2}, {1 << 20, 3}};
+    for (const auto& [budget, min_partitions] : budgets) {
+      OocCountOptions copts;
+      copts.mem_budget_bytes = budget;
+      copts.spec = spec;
+      // Reference: the simulated partitioned executor over the same
+      // partitioning (the paged path funds partitions with half the
+      // budget; see paged_count.h).
+      const Partitioning parts =
+          Partitioning::ForMemoryBudget(*og, budget / 2);
+      const size_t k = parts.num_partitions();
+      ASSERT_EQ(std::min<size_t>(k, 3), min_partitions);
+      for (size_t p = 1; ascending && p < k; ++p) {
+        ASSERT_LT(hub.front(), parts.lower(p));
+        ASSERT_GE(hub.back(), parts.lower(p));
+      }
+      for (const bool use_e2 : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "ascending=" << ascending << " budget=" << budget
+                     << " e2=" << use_e2);
+        copts.use_e2 = use_e2;
+        auto counted = OocCountTlg(path, copts);
+        ASSERT_TRUE(counted.ok()) << counted.status().ToString();
 
-  OocCountOptions copts;
-  copts.mem_budget_bytes = 1 << 20;
-  copts.spec = {PermutationKind::kDescending, 0};
-
-  for (const bool use_e2 : {false, true}) {
-    copts.use_e2 = use_e2;
-    auto counted = OocCountTlg(path, copts);
-    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-
-    // Reference: the simulated partitioned executor over the same
-    // partitioning (the paged path funds partitions with half the
-    // budget; see paged_count.h).
-    const Partitioning parts =
-        Partitioning::ForMemoryBudget(*og, copts.mem_budget_bytes / 2);
-    CountingSink sink;
-    IoStats io;
-    const OpCounts want = use_e2
-                              ? RunPartitionedE2(*og, parts, &sink, &io)
-                              : RunPartitionedE1(*og, parts, &sink, &io);
-
-    EXPECT_EQ(counted->ops.triangles, want.triangles);
-    EXPECT_EQ(counted->ops.candidate_checks, want.candidate_checks);
-    EXPECT_EQ(counted->ops.local_scans, want.local_scans);
-    EXPECT_EQ(counted->ops.remote_scans, want.remote_scans);
-    EXPECT_EQ(counted->ops.merge_comparisons, want.merge_comparisons);
-    EXPECT_EQ(counted->partitions,
-              static_cast<int64_t>(parts.num_partitions()));
-    EXPECT_EQ(counted->io.passes, io.passes);
-    EXPECT_EQ(counted->io.bytes_loaded, io.bytes_loaded);
-    EXPECT_EQ(counted->io.bytes_streamed, io.bytes_streamed);
-    if (counted->mmap_backed && counted->partitions > 1) {
-      EXPECT_GT(counted->evictions, 0);
+        CountingSink sink;
+        IoStats io;
+        const OpCounts want = use_e2
+                                  ? RunPartitionedE2(*og, parts, &sink, &io)
+                                  : RunPartitionedE1(*og, parts, &sink, &io);
+        // The pass shared by the paged and partitioned runs must also
+        // agree with the in-memory kernels, not only with itself.
+        const OpCounts& mem = in_memory[use_e2 ? 1 : 0];
+        for (const OpCounts* ref : {&want, &mem}) {
+          EXPECT_EQ(counted->ops.triangles, ref->triangles);
+          EXPECT_EQ(counted->ops.candidate_checks, ref->candidate_checks);
+          EXPECT_EQ(counted->ops.local_scans, ref->local_scans);
+          EXPECT_EQ(counted->ops.remote_scans, ref->remote_scans);
+          EXPECT_EQ(counted->ops.merge_comparisons, ref->merge_comparisons);
+        }
+        EXPECT_GT(counted->ops.triangles, 0);
+        EXPECT_EQ(sink.count(), static_cast<uint64_t>(mem.triangles));
+        EXPECT_EQ(counted->partitions, static_cast<int64_t>(k));
+        EXPECT_EQ(counted->io.passes, io.passes);
+        EXPECT_EQ(counted->io.bytes_loaded, io.bytes_loaded);
+        EXPECT_EQ(counted->io.bytes_streamed, io.bytes_streamed);
+        if (counted->mmap_backed && counted->partitions > 1) {
+          EXPECT_GT(counted->evictions, 0);
+        }
+      }
     }
   }
 }

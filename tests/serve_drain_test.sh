@@ -33,8 +33,20 @@ done
 "$CLI" query --unix "$SOCK" --graph g > query.out 2>&1 &
 QUERY_PID=$!
 
-# Let the request get admitted and begin executing, then drain.
-sleep 0.3
+# Let the request get admitted and begin executing, then drain. Poll the
+# server's stats (for up to ~10 s) until it reports the request in
+# flight; stats are answered on the connection thread, so a poll never
+# queues behind the delayed request.
+IN_FLIGHT=0
+for _ in $(seq 1 200); do
+  if "$CLI" query --unix "$SOCK" --stats 2>/dev/null \
+      | grep -qx "trilist_serve_in_flight 1"; then
+    IN_FLIGHT=1
+    break
+  fi
+  sleep 0.05
+done
+[ "$IN_FLIGHT" -eq 1 ] || echo "note: request not seen in flight" >&2
 kill -TERM "$SERVE_PID" || fail "kill"
 
 wait "$QUERY_PID"
