@@ -13,7 +13,7 @@
 
 namespace trilist {
 
-/// Runs `m` on the oriented graph, building the directed-arc hash set
+/// Runs `m` on the oriented graph, building the directed-arc index
 /// internally when the method is a vertex iterator.
 OpCounts RunMethod(Method m, const OrientedGraph& g, TriangleSink* sink);
 

@@ -43,23 +43,33 @@ std::span<const T> TypedView(std::span<const std::byte> bytes,
   return {reinterpret_cast<const T*>(bytes.data() + offset), count};
 }
 
-/// Validates one CSR half: offsets monotone from 0 to `expected_total`,
-/// every row sorted strictly ascending with IDs below `num_nodes`.
-Status ValidateCsr(std::span<const size_t> offsets,
-                   std::span<const NodeId> neighbors, uint64_t num_nodes,
-                   const std::string& path, const char* what) {
-  if (offsets.empty() || offsets.front() != 0 ||
-      offsets.back() != neighbors.size()) {
+/// Validates one CSR offsets array: it starts at 0, never decreases and
+/// ends at `total`, the element count of its neighbor array. O(n), and
+/// reads no neighbor payload, so paged opens run it too: every row span
+/// a kernel later forms from these offsets stays inside the mapping.
+Status ValidateOffsets(std::span<const size_t> offsets, size_t total,
+                       const std::string& path, const char* what) {
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != total) {
     return CorruptError(path, std::string(what) + " offsets malformed");
   }
-  // Full monotonicity first: only then is offsets[i + 1] <= back() a safe
-  // bound for the row scans below.
   for (size_t i = 0; i + 1 < offsets.size(); ++i) {
     if (offsets[i] > offsets[i + 1]) {
       return CorruptError(path,
                           std::string(what) + " offsets not monotone");
     }
   }
+  return Status::OK();
+}
+
+/// Validates one CSR half: offsets as in ValidateOffsets, then every row
+/// sorted strictly ascending with IDs below `num_nodes`.
+Status ValidateCsr(std::span<const size_t> offsets,
+                   std::span<const NodeId> neighbors, uint64_t num_nodes,
+                   const std::string& path, const char* what) {
+  // Full monotonicity first: only then is offsets[i + 1] <= back() a safe
+  // bound for the row scans below.
+  TRILIST_RETURN_NOT_OK(
+      ValidateOffsets(offsets, neighbors.size(), path, what));
   for (size_t i = 0; i + 1 < offsets.size(); ++i) {
     for (size_t j = offsets[i]; j < offsets[i + 1]; ++j) {
       if (neighbors[j] >= num_nodes) {
@@ -234,7 +244,11 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
                                   "host");
   }
   // Paged opens demand-page: no readahead hint, and the payload checks
-  // below are skipped (they would touch every byte of the file).
+  // below are skipped (they would touch every byte of the file). What a
+  // paged open still checks is every offsets array (O(n), no neighbor
+  // bytes), so a forged offset is a typed error here instead of a read
+  // past the mapping later; rows that are in bounds but wrong are the
+  // paged counter's run-time cursor check's to catch.
   const bool paged = options.paged;
   const bool verify_crc = options.verify_crc && !paged;
   const bool validate = options.validate && !paged;
@@ -346,6 +360,9 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
   if (validate) {
     TRILIST_RETURN_NOT_OK(
         ValidateCsr(offsets, neighbors, n, path, "graph"));
+  } else if (options.validate) {
+    TRILIST_RETURN_NOT_OK(
+        ValidateOffsets(offsets, neighbors.size(), path, "graph"));
   }
   out.graph_ = Graph::FromCsrView(offsets, neighbors, out.file_);
 
@@ -418,6 +435,11 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
                                 "orientation original-of out of range");
           }
         }
+      } else if (options.validate) {
+        TRILIST_RETURN_NOT_OK(ValidateOffsets(out_offsets, m, path,
+                                              "orientation out"));
+        TRILIST_RETURN_NOT_OK(ValidateOffsets(in_offsets, m, path,
+                                              "orientation in"));
       }
       out.orientation_specs_.push_back(OrientSpec{kind, oh.seed});
       out.orientations_.push_back(OrientedGraph::FromCsrView(

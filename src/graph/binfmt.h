@@ -69,11 +69,15 @@ struct TlgLoadOptions {
   bool validate = true;    ///< Structural validation of offsets and IDs.
   MmapFile::Backing backing = MmapFile::Backing::kAuto;
   /// Lazily-paging open: map with MADV_RANDOM instead of eager
-  /// readahead, verify only the header and section table (payload CRCs
-  /// and deep CSR validation would fault every page of the file, which
-  /// is exactly what this mode exists to avoid), and hand out views that
-  /// demand-page. Overrides verify_crc/validate for the payloads; the
-  /// header, directory bounds and table CRC are always checked. Use for
+  /// readahead, verify only the header, the section table and (with
+  /// `validate`) every CSR offsets array (payload CRCs and deep row
+  /// validation would fault every page of the file, which is exactly
+  /// what this mode exists to avoid), and hand out views that
+  /// demand-page. The offsets check is O(n) and reads no neighbor bytes:
+  /// offsets start at 0, never decrease and end at the section's element
+  /// count, so no row span reaches past the mapping. Overrides
+  /// verify_crc and the row checks of validate; the header, directory
+  /// bounds and table CRC are always checked. Use for
   /// graphs much larger than RAM (src/ooc) or low-latency catalog
   /// serving; the payload integrity check is deferred to first access.
   bool paged = false;

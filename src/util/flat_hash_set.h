@@ -8,16 +8,16 @@
 #include "src/util/status.h"
 
 /// \file flat_hash_set.h
-/// Open-addressing hash set of 64-bit keys, tuned for the edge-existence
-/// checks performed by vertex iterators and lookup edge iterators.
+/// Open-addressing hash set of 64-bit keys, used for packed (u,v) edge
+/// dedupe in the generators and as the hash-probe baseline of
+/// bench_table3_speed. The vertex iterators' arc checks use the row-local
+/// DirectedEdgeSet (src/graph/edge_set.h) instead.
 ///
-/// Design notes (why not std::unordered_set): the hot loop of a vertex
-/// iterator performs one membership probe per candidate tuple, i.e. up to
-/// billions of probes per run. A power-of-two open-addressing table with
-/// linear probing keeps each probe to one cache line in the common case and
-/// avoids per-node allocation entirely. Keys are pre-mixed with the
-/// SplitMix64 finalizer, so adversarial clustering of packed (u,v) edge keys
-/// is not a concern.
+/// Design notes (why not std::unordered_set): a power-of-two
+/// open-addressing table with linear probing keeps each probe to one
+/// cache line in the common case and avoids per-node allocation
+/// entirely. Keys are pre-mixed with the SplitMix64 finalizer, so
+/// adversarial clustering of packed (u,v) edge keys is not a concern.
 
 namespace trilist {
 

@@ -15,6 +15,7 @@
 #include "src/graph/builder.h"
 #include "src/graph/io.h"
 #include "src/graph/mmap_file.h"
+#include "src/ooc/paged_count.h"
 #include "src/order/pipeline.h"
 #include "src/util/crc32.h"
 #include "src/util/rng.h"
@@ -231,9 +232,10 @@ class TlgFaultInjectionTest : public ::testing::Test {
 
   /// Writes the (patched) image and asserts Open fails cleanly with the
   /// given substring in the error message.
-  void ExpectOpenFails(const std::string& what) {
+  void ExpectOpenFails(const std::string& what,
+                       const TlgLoadOptions& options = {}) {
     Spit(path_, bytes_);
-    auto t = TlgFile::Open(path_);
+    auto t = TlgFile::Open(path_, options);
     ASSERT_FALSE(t.ok()) << "expected failure: " << what;
     EXPECT_NE(t.status().message().find(what), std::string::npos)
         << "got: " << t.status().ToString();
@@ -341,6 +343,74 @@ TEST_F(TlgFaultInjectionTest, NeighborOutOfRangeSurvivesCrcFixup) {
   WriteAt<uint32_t>(&bytes_, offset, 0xFFFFFFF0u);
   FixUpCrcs(&bytes_, 1);
   ExpectOpenFails("neighbor out of range");
+}
+
+TEST_F(TlgFaultInjectionTest, PagedOpenChecksEveryOffsetsArray) {
+  // A paged open reads no neighbor payload, but it does check each
+  // offsets array: a forged offset must be a typed error at open, not a
+  // row span past the mapping later. Sections: 0 csr_offsets, 3 the
+  // theta_D orientation (header, out_offsets, in_offsets, ...).
+  const uint64_t n = ReadAt<uint64_t>(bytes_, 16);
+  const auto section_offset = [&](size_t index) {
+    return ReadAt<uint64_t>(bytes_,
+                            kHeaderSize + index * kEntrySize +
+                                kEntryOffsetOff);
+  };
+  const size_t graph_offsets = section_offset(0);
+  const size_t out_offsets = section_offset(3) + 24;
+  const size_t in_offsets = out_offsets + (n + 1) * sizeof(uint64_t);
+  struct Forgery {
+    size_t at;
+    uint64_t value;
+    size_t section;
+    const char* what;
+  };
+  const Forgery forgeries[] = {
+      {graph_offsets + n * 8, uint64_t{1} << 40, 0,
+       "graph offsets malformed"},
+      {out_offsets + n * 8, uint64_t{1} << 40, 3,
+       "orientation out offsets malformed"},
+      {out_offsets + 8 * (n / 2), uint64_t{1} << 40, 3,
+       "orientation out offsets not monotone"},
+      {in_offsets, 1, 3, "orientation in offsets malformed"},
+  };
+  const std::vector<unsigned char> pristine = bytes_;
+  for (const Forgery& f : forgeries) {
+    SCOPED_TRACE(f.what);
+    bytes_ = pristine;
+    WriteAt<uint64_t>(&bytes_, f.at, f.value);
+    TlgLoadOptions paged;
+    paged.paged = true;
+    ExpectOpenFails(f.what, paged);
+    // With both CRCs repaired the eager open reaches the same check.
+    FixUpCrcs(&bytes_, f.section);
+    ExpectOpenFails(f.what);
+  }
+}
+
+TEST(TlgForgedFileTest, PagedCountRejectsForgedOutOffsets) {
+  // tests/testdata/forged_out_offsets.tlg: a 64-node graph whose theta_D
+  // orientation has out_offsets[n] forged to 2^40, CRCs repaired.
+  const std::string path =
+      std::string(TRILIST_TESTDATA_DIR) + "/forged_out_offsets.tlg";
+  const std::string what = "orientation out offsets malformed";
+  for (const bool paged : {true, false}) {
+    TlgLoadOptions options;
+    options.paged = paged;
+    auto t = TlgFile::Open(path, options);
+    ASSERT_FALSE(t.ok());
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(t.status().message().find(what), std::string::npos)
+        << t.status().ToString();
+  }
+  ooc::OocCountOptions options;
+  options.mem_budget_bytes = int64_t{8} << 20;
+  options.spec = OrientSpec{PermutationKind::kDescending, 1};
+  auto counted = ooc::OocCountTlg(path, options);
+  ASSERT_FALSE(counted.ok());
+  EXPECT_EQ(counted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(counted.status().message().find(what), std::string::npos)
+      << counted.status().ToString();
 }
 
 TEST(TlgMiscTest, MissingFileAndNonTlgFile) {

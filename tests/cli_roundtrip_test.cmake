@@ -260,6 +260,37 @@ if(NOT all_threads_result EQUAL 0 OR NOT CMAKE_MATCH_1 STREQUAL t1)
   message(FATAL_ERROR "--threads 0 failed: ${all_threads_out}")
 endif()
 
+# Each subcommand accepts only its declared flags: a misspelled flag or a
+# stray word exits 2 with usage instead of running with defaults.
+foreach(bad_args "--thread;8" "--methodz;E1" "stray")
+  execute_process(
+    COMMAND "${CLI}" count --in "${graph_file}" --method E1 --order D
+            ${bad_args}
+    RESULT_VARIABLE bad_result OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err)
+  string(FIND "${bad_err}" "usage:" prints_usage)
+  if(NOT bad_result EQUAL 2 OR prints_usage EQUAL -1)
+    message(FATAL_ERROR "count ${bad_args}: exit ${bad_result}, want 2 "
+                        "with usage: ${bad_out} ${bad_err}")
+  endif()
+endforeach()
+
+# A paged open checks every offsets array before any kernel forms a row
+# span from it. The checked-in container's orientation out_offsets[n] is
+# forged; the paged count must fail with the typed error, not abort.
+execute_process(
+  COMMAND "${CLI}" count --in "${TESTDATA}/forged_out_offsets.tlg"
+          --method E1 --order D --mem-budget 8M
+  RESULT_VARIABLE forged_result OUTPUT_VARIABLE forged_out
+  ERROR_VARIABLE forged_err)
+string(FIND "${forged_err}" "offsets malformed" names_offsets)
+if(NOT forged_result MATCHES "^[0-9]+$" OR forged_result EQUAL 0 OR
+   forged_result EQUAL 134 OR names_offsets EQUAL -1)
+  message(FATAL_ERROR "paged count of a forged .tlg: exit "
+                      "'${forged_result}', want a typed rejection: "
+                      "${forged_out} ${forged_err}")
+endif()
+
 file(REMOVE "${graph_file}" "${tlg_file}" "${tlg_file2}"
      "${roundtrip_file}" "${trace_file}" "${metrics_file}"
      "${report_file}")

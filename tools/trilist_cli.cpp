@@ -10,6 +10,10 @@
 /// "all hardware threads", and results are bit-identical to the serial
 /// run for any value.
 ///
+/// Each subcommand declares the flags it accepts (CommandFlagTable): an
+/// undeclared flag, a misspelling such as `--thread`, or a stray word
+/// exits 2 with the usage text instead of being ignored.
+///
 ///   trilist_cli generate --n N --alpha A [--trunc root|linear]
 ///                        [--seed S] --out FILE
 ///       Sample a truncated-Pareto degree sequence, realize it exactly,
@@ -161,9 +165,6 @@ namespace {
 
 using namespace trilist;
 
-/// Minimal --flag parser: `--key value` pairs plus bare boolean switches
-/// (`--degree-profile`). A flag followed by another `--flag` (or nothing)
-/// is a switch; Get() returns "" for missing keys.
 /// A flag whose value does not parse or is out of range. main() reports
 /// it and exits with status 2.
 struct FlagError {
@@ -172,16 +173,99 @@ struct FlagError {
   std::string expected;
 };
 
+/// An argument the subcommand does not accept: an undeclared `--flag` or
+/// a word that is no flag's value. main() prints it with the usage text
+/// and exits with status 2.
+struct UsageError {
+  std::string message;
+};
+
+/// One flag a subcommand accepts.
+struct FlagSpec {
+  const char* name;  ///< Without the leading "--".
+  bool switch_only;  ///< A bare switch (`--verify`): it takes no value.
+};
+
+/// The declared flag table of every subcommand. Flags parses argv against
+/// its subcommand's row before dispatch, so a misspelled flag
+/// (`--thread 8`) is a usage error rather than a silent default.
+const std::map<std::string, std::vector<FlagSpec>>& CommandFlagTable() {
+  static const std::map<std::string, std::vector<FlagSpec>> kTable = {
+      {"generate",
+       {{"n", false}, {"alpha", false}, {"trunc", false}, {"seed", false},
+        {"out", false}}},
+      {"count",
+       {{"in", false}, {"method", false}, {"order", false}, {"seed", false},
+        {"threads", false}, {"intersect", false},
+        {"bitmap-min-degree", false}, {"mem-budget", false}}},
+      {"run",
+       {{"in", false}, {"n", false}, {"alpha", false}, {"trunc", false},
+        {"gen", false}, {"methods", false}, {"method", false},
+        {"order", false}, {"seed", false}, {"threads", false},
+        {"repeats", false}, {"intersect", false},
+        {"bitmap-min-degree", false}, {"report", false}, {"trace", false},
+        {"metrics", false}, {"degree-profile", true},
+        {"mem-budget", false}}},
+      {"model",
+       {{"alpha", false}, {"n", false}, {"trunc", false}, {"method", false},
+        {"order", false}, {"eps", false}}},
+      {"orders", {}},
+      {"advise", {{"alpha", false}, {"speedup", false}}},
+      {"convert",
+       {{"in", false}, {"out", false}, {"orders", false}, {"seed", false},
+        {"threads", false}, {"mem-budget", false}, {"tmpdir", false},
+        {"io-workers", false}, {"no-direct-io", true}, {"report", false}}},
+      {"info", {{"in", false}}},
+      {"serve",
+       {{"tcp", false}, {"host", false}, {"unix", false}, {"graphs", false},
+        {"graph", false}, {"workers", false}, {"queue", false},
+        {"catalog", false}, {"sjf", true}, {"max-threads", false},
+        {"send-timeout", false}, {"paged", true}}},
+      {"query",
+       {{"connect", false}, {"unix", false}, {"graph", false},
+        {"methods", false}, {"order", false}, {"seed", false},
+        {"threads", false}, {"repeats", false}, {"report", true},
+        {"stats", true}}},
+      {"mutate",
+       {{"connect", false}, {"unix", false}, {"graph", false},
+        {"add", false}, {"del", false}, {"ops-file", false}, {"log", false},
+        {"batch", false}, {"in", false}, {"out", false}, {"threads", false},
+        {"verify", true}}},
+      {"version", {}},
+      {"--version", {}},
+  };
+  return kTable;
+}
+
+/// `--key value` pairs plus bare switches, checked against one
+/// subcommand's declared table. A value-taking flag followed by another
+/// `--flag` (or nothing) gets the empty value, which Get() also returns
+/// for absent keys.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  /// Parses argv[2..] against `accepted`; throws UsageError on an
+  /// undeclared flag or a stray word.
+  Flags(int argc, char** argv, const std::vector<FlagSpec>& accepted) {
     for (int i = 2; i < argc;) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
-        ++i;
-        continue;
+        throw UsageError{std::string("unexpected argument '") + argv[i] +
+                         "'"};
       }
       const char* key = argv[i] + 2;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      const auto spec = std::find_if(
+          accepted.begin(), accepted.end(),
+          [&](const FlagSpec& f) { return std::strcmp(f.name, key) == 0; });
+      if (spec == accepted.end()) {
+        std::string known;
+        for (const FlagSpec& f : accepted) {
+          known += std::string(" --") + f.name;
+        }
+        throw UsageError{std::string("unknown flag '") + argv[i] +
+                         "' (accepted:" +
+                         (known.empty() ? " none" : known) + ")"};
+      }
+      if (!spec->switch_only && i + 1 < argc &&
+          std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[i + 1];
         i += 2;
       } else {
@@ -1370,9 +1454,15 @@ int RunCommand(const std::string& cmd, const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
-  const Flags flags(argc, argv);
+  const auto& table = CommandFlagTable();
+  const auto accepted = table.find(cmd);
+  if (accepted == table.end()) return Usage();
   try {
+    const Flags flags(argc, argv, accepted->second);
     return RunCommand(cmd, flags);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.message.c_str());
+    return Usage();
   } catch (const FlagError& e) {
     std::fprintf(stderr, "%s: --%s: expected %s, got '%s'\n", cmd.c_str(),
                  e.key.c_str(), e.expected.c_str(), e.value.c_str());
