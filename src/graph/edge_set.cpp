@@ -6,10 +6,13 @@ namespace trilist {
 
 namespace {
 
+/// Smallest table a hashed row gets.
+constexpr size_t kMinTable = 32;
+
 /// Slot span of an out-row of `degree` arcs.
 size_t SpanOf(size_t degree) {
   if (degree <= DirectedEdgeSet::kScanMax) return degree;
-  return std::max(DirectedEdgeSet::kMinTable, std::bit_ceil(2 * degree));
+  return std::max(kMinTable, std::bit_ceil(2 * degree));
 }
 
 }  // namespace

@@ -43,8 +43,6 @@ class DirectedEdgeSet {
  public:
   /// Rows up to this length are scanned; longer rows are hashed.
   static constexpr size_t kScanMax = 16;
-  /// Smallest table a hashed row gets.
-  static constexpr size_t kMinTable = 32;
   /// Empty-slot sentinel of a hashed row.
   static constexpr NodeId kEmpty = ~NodeId{0};
 
