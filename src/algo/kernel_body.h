@@ -176,10 +176,11 @@ OpCounts T1Range(const OrientedGraph& g, const DirectedEdgeSet& arcs,
     // Pairs x < y; lists are sorted, so index order is label order.
     for (size_t b = p0; b < p1; ++b) {
       const NodeId y = out[b];
+      const DirectedEdgeSet::Row row_y = arcs.RowOf(y);
       for (size_t a = 0; a < b; ++a) {
         const NodeId x = out[a];
         ++ops.candidate_checks;
-        if (arcs.Contains(y, x)) {
+        if (row_y.Contains(x)) {
           ++ops.triangles;
           emit(x, y, z);
         }
@@ -204,9 +205,10 @@ OpCounts T2Range(const OrientedGraph& g, const DirectedEdgeSet& arcs,
     [[maybe_unused]] const int64_t before = ops.candidate_checks;
     for (size_t zi = p0; zi < p1; ++zi) {
       const NodeId z = in[zi];
+      const DirectedEdgeSet::Row row_z = arcs.RowOf(z);
       for (const NodeId x : out) {
         ++ops.candidate_checks;
-        if (arcs.Contains(z, x)) {
+        if (row_z.Contains(x)) {
           ++ops.triangles;
           emit(x, y, z);
         }

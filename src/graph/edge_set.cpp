@@ -6,20 +6,17 @@ namespace trilist {
 
 namespace {
 
-/// Smallest table a hashed row gets.
-constexpr size_t kMinTable = 32;
-
 /// Slot span of an out-row of `degree` arcs.
 size_t SpanOf(size_t degree) {
   if (degree <= DirectedEdgeSet::kScanMax) return degree;
-  return std::max(kMinTable, std::bit_ceil(2 * degree));
+  return std::bit_ceil(2 * degree);
 }
 
 }  // namespace
 
 DirectedEdgeSet::DirectedEdgeSet(const OrientedGraph& g)
-    : size_(g.num_arcs()) {
-  const size_t n = g.num_nodes();
+    : num_nodes_(g.num_nodes()), size_(g.num_arcs()) {
+  const size_t n = num_nodes_;
   starts_.resize(n + 1);
   starts_[0] = 0;
   for (size_t i = 0; i < n; ++i) {

@@ -22,7 +22,7 @@
 ///   - A row of kScanMax (16) or fewer arcs stores the row itself
 ///     (4 B per arc) and a probe scans it.
 ///   - A longer row stores an open-addressed table: capacity the smallest
-///     power of two >= 2d and at least 32, linear probing from a
+///     power of two >= 2d (so at least 64), linear probing from a
 ///     multiplicative hash, ~0u as the empty sentinel (node IDs are below
 ///     2^32 - 1). That is 8-16 B per arc at <= 50% load.
 /// A row is therefore hashed exactly when its slot span is longer than
@@ -32,6 +32,11 @@
 /// the alternative and made T1 2x slower on hub rows: each of its
 /// log2(d) steps is a dependent load, where a table at <= 50% load
 /// resolves most probes in the first slot.
+///
+/// T1 and T2 take the probed row once per fixed source (RowOf) and probe
+/// it in their inner loop; the other iterators call Contains(from, to).
+/// A source past the last node gets an empty row, so the index answers
+/// false for any (from, to), as the whole-graph table did.
 ///
 /// The index copies what it needs and holds no reference to the graph,
 /// so it may be built from a temporary.
@@ -49,24 +54,46 @@ class DirectedEdgeSet {
   /// Indexes every arc of `g` (O(m) build).
   explicit DirectedEdgeSet(const OrientedGraph& g);
 
-  /// True iff the arc from -> to exists. `from` must be a node of the
-  /// indexed graph.
-  bool Contains(NodeId from, NodeId to) const {
-    const size_t begin = starts_[from];
-    const size_t span = starts_[from + 1] - begin;
-    const NodeId* row = slots_.data() + begin;
-    if (span <= kScanMax) {
-      for (size_t i = 0; i < span; ++i) {
-        if (row[i] == to) return true;
+  /// One source row, for loops that hold `from` fixed across probes (T1
+  /// holds y, T2 holds z): the row lookup and its bounds check are paid
+  /// once per row instead of once per probe.
+  class Row {
+   public:
+    /// True iff the arc from -> to exists.
+    bool Contains(NodeId to) const {
+      if (span_ <= kScanMax) {
+        for (size_t i = 0; i < span_; ++i) {
+          if (slots_[i] == to) return true;
+        }
+        return false;
       }
-      return false;
+      const size_t mask = span_ - 1;
+      for (size_t i = Home(to, span_);; i = (i + 1) & mask) {
+        const NodeId slot = slots_[i];
+        if (slot == kEmpty) return false;
+        if (slot == to) return true;
+      }
     }
-    const size_t mask = span - 1;
-    for (size_t i = Home(to, span);; i = (i + 1) & mask) {
-      const NodeId slot = row[i];
-      if (slot == to) return true;
-      if (slot == kEmpty) return false;
-    }
+
+   private:
+    friend class DirectedEdgeSet;
+    Row(const NodeId* slots, size_t span) : slots_(slots), span_(span) {}
+    const NodeId* slots_;
+    size_t span_;
+  };
+
+  /// The row of `from`. Any `from` is accepted: one outside the graph
+  /// gets an empty row, so every probe answers false. A paged .tlg open
+  /// checks no neighbor IDs, so a forged one may reach here as `from`.
+  Row RowOf(NodeId from) const {
+    if (from >= num_nodes_) return Row(nullptr, 0);
+    const size_t begin = starts_[from];
+    return Row(slots_.data() + begin, starts_[from + 1] - begin);
+  }
+
+  /// True iff the arc from -> to exists; any `from`, as in RowOf.
+  bool Contains(NodeId from, NodeId to) const {
+    return RowOf(from).Contains(to);
   }
 
   /// Number of arcs indexed.
@@ -81,6 +108,7 @@ class DirectedEdgeSet {
         (64 - std::countr_zero(capacity)));
   }
 
+  size_t num_nodes_ = 0;
   std::vector<size_t> starts_;  // n + 1 slot-array offsets
   std::vector<NodeId> slots_;   // rows, scanned or hashed
   size_t size_ = 0;

@@ -388,6 +388,63 @@ TEST_F(TlgFaultInjectionTest, PagedOpenChecksEveryOffsetsArray) {
   }
 }
 
+TEST_F(TlgFaultInjectionTest, PagedOpenWithForgedNeighborIdsStillLists) {
+  // A paged open checks offsets but no neighbor IDs, so the vertex
+  // iterators may probe the arc index with a source past the last node.
+  // Forge the last out-arc and the last in-arc of the theta_D orientation
+  // to such an ID: every T method must finish (no read past the index),
+  // charge the same candidate checks (the row lengths are unchanged) and
+  // find no triangle the pristine graph lacks.
+  const OrientSpec spec{PermutationKind::kDescending, 0};
+  const Method methods[] = {Method::kT1, Method::kT2, Method::kT3,
+                            Method::kT4, Method::kT5, Method::kT6};
+  std::vector<OpCounts> pristine_ops;
+  {
+    auto t = TlgFile::Open(path_);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    for (const Method m : methods) {
+      CountingSink sink;
+      pristine_ops.push_back(RunMethod(m, *t->FindOrientation(spec), &sink));
+    }
+  }
+  const uint64_t n = ReadAt<uint64_t>(bytes_, 16);
+  const uint64_t m = ReadAt<uint64_t>(bytes_, 24);
+  ASSERT_GT(m, 0u);
+  const size_t out_neighbors =
+      ReadAt<uint64_t>(bytes_, kHeaderSize + 3 * kEntrySize +
+                                   kEntryOffsetOff) +
+      24 + 2 * (n + 1) * sizeof(uint64_t);
+  const size_t in_neighbors = out_neighbors + m * sizeof(NodeId);
+  const NodeId forged = 0xFFFFFFF0u;
+  ASSERT_GT(forged, n);
+  WriteAt<NodeId>(&bytes_, out_neighbors + (m - 1) * sizeof(NodeId), forged);
+  WriteAt<NodeId>(&bytes_, in_neighbors + (m - 1) * sizeof(NodeId), forged);
+  FixUpCrcs(&bytes_, 3);
+  ExpectOpenFails("neighbor out of range");
+
+  TlgLoadOptions paged;
+  paged.paged = true;
+  auto t = TlgFile::Open(path_, paged);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  const OrientedGraph* og = t->FindOrientation(spec);
+  ASSERT_NE(og, nullptr);
+  for (size_t i = 0; i < std::size(methods); ++i) {
+    SCOPED_TRACE(MethodName(methods[i]));
+    CountingSink serial;
+    const OpCounts ops = RunMethod(methods[i], *og, &serial);
+    EXPECT_EQ(ops.candidate_checks, pristine_ops[i].candidate_checks);
+    EXPECT_LE(ops.triangles, pristine_ops[i].triangles);
+    if (methods[i] == Method::kT1 || methods[i] == Method::kT2) {
+      ExecPolicy exec;
+      exec.threads = 4;
+      CountingSink parallel;
+      const OpCounts par = RunMethod(methods[i], *og, &parallel, exec);
+      EXPECT_EQ(par.candidate_checks, ops.candidate_checks);
+      EXPECT_EQ(parallel.count(), serial.count());
+    }
+  }
+}
+
 TEST(TlgForgedFileTest, PagedCountRejectsForgedOutOffsets) {
   // tests/testdata/forged_out_offsets.tlg: a 64-node graph whose theta_D
   // orientation has out_offsets[n] forged to 2^40, CRCs repaired.

@@ -65,6 +65,15 @@ void ExpectMatchesReference(const OrientedGraph& og, Rng* rng,
     const auto from = static_cast<NodeId>(i);
     wrong += arcs.Contains(from, static_cast<NodeId>(n));
     wrong += arcs.Contains(from, DirectedEdgeSet::kEmpty - 1);
+    wrong += arcs.Contains(from, DirectedEdgeSet::kEmpty);
+  }
+  // Sources with no row (a forged neighbor ID of an unvalidated paged
+  // open) answer false rather than reading past the row starts.
+  for (const size_t from : {n, n + 1, size_t{DirectedEdgeSet::kEmpty}}) {
+    for (const size_t to : {size_t{0}, n - 1}) {
+      wrong += arcs.Contains(static_cast<NodeId>(from),
+                             static_cast<NodeId>(to));
+    }
   }
   EXPECT_EQ(wrong, 0u) << "sampled pairs disagree";
 }
@@ -87,8 +96,8 @@ TEST(DirectedEdgeSetIndexTest, EmptyGraph) {
 
 TEST(DirectedEdgeSetIndexTest, RowLengthsAcrossTheCutoff) {
   // Identity labels, so node i's out-row is exactly its neighbors below
-  // i: rows of 0, 1, 16 and 17 arcs, rows around the smallest table
-  // (31..33 arcs), and a last node adjacent to everything.
+  // i: rows of 0, 1, 16 and 17 arcs, rows at the 64 -> 128 capacity
+  // step (31..33 arcs), and a last node adjacent to everything.
   const size_t n = 1200;
   GraphBuilder builder(n);
   builder.AddEdge(1, 0);

@@ -10,7 +10,7 @@
 /// "all hardware threads", and results are bit-identical to the serial
 /// run for any value.
 ///
-/// Each subcommand declares the flags it accepts (CommandFlagTable): an
+/// Each subcommand declares the flags it accepts (CommandTable): an
 /// undeclared flag, a misspelling such as `--thread`, or a stray word
 /// exits 2 with the usage text instead of being ignored.
 ///
@@ -185,57 +185,6 @@ struct FlagSpec {
   const char* name;  ///< Without the leading "--".
   bool switch_only;  ///< A bare switch (`--verify`): it takes no value.
 };
-
-/// The declared flag table of every subcommand. Flags parses argv against
-/// its subcommand's row before dispatch, so a misspelled flag
-/// (`--thread 8`) is a usage error rather than a silent default.
-const std::map<std::string, std::vector<FlagSpec>>& CommandFlagTable() {
-  static const std::map<std::string, std::vector<FlagSpec>> kTable = {
-      {"generate",
-       {{"n", false}, {"alpha", false}, {"trunc", false}, {"seed", false},
-        {"out", false}}},
-      {"count",
-       {{"in", false}, {"method", false}, {"order", false}, {"seed", false},
-        {"threads", false}, {"intersect", false},
-        {"bitmap-min-degree", false}, {"mem-budget", false}}},
-      {"run",
-       {{"in", false}, {"n", false}, {"alpha", false}, {"trunc", false},
-        {"gen", false}, {"methods", false}, {"method", false},
-        {"order", false}, {"seed", false}, {"threads", false},
-        {"repeats", false}, {"intersect", false},
-        {"bitmap-min-degree", false}, {"report", false}, {"trace", false},
-        {"metrics", false}, {"degree-profile", true},
-        {"mem-budget", false}}},
-      {"model",
-       {{"alpha", false}, {"n", false}, {"trunc", false}, {"method", false},
-        {"order", false}, {"eps", false}}},
-      {"orders", {}},
-      {"advise", {{"alpha", false}, {"speedup", false}}},
-      {"convert",
-       {{"in", false}, {"out", false}, {"orders", false}, {"seed", false},
-        {"threads", false}, {"mem-budget", false}, {"tmpdir", false},
-        {"io-workers", false}, {"no-direct-io", true}, {"report", false}}},
-      {"info", {{"in", false}}},
-      {"serve",
-       {{"tcp", false}, {"host", false}, {"unix", false}, {"graphs", false},
-        {"graph", false}, {"workers", false}, {"queue", false},
-        {"catalog", false}, {"sjf", true}, {"max-threads", false},
-        {"send-timeout", false}, {"paged", true}}},
-      {"query",
-       {{"connect", false}, {"unix", false}, {"graph", false},
-        {"methods", false}, {"order", false}, {"seed", false},
-        {"threads", false}, {"repeats", false}, {"report", true},
-        {"stats", true}}},
-      {"mutate",
-       {{"connect", false}, {"unix", false}, {"graph", false},
-        {"add", false}, {"del", false}, {"ops-file", false}, {"log", false},
-        {"batch", false}, {"in", false}, {"out", false}, {"threads", false},
-        {"verify", true}}},
-      {"version", {}},
-      {"--version", {}},
-  };
-  return kTable;
-}
 
 /// `--key value` pairs plus bare switches, checked against one
 /// subcommand's declared table. A value-taking flag followed by another
@@ -955,7 +904,7 @@ int CmdModel(const Flags& flags) {
   return 0;
 }
 
-int CmdOrders() {
+int CmdOrders(const Flags& /*flags*/) {
   std::printf("%-6s %-11s %-6s %s\n", "cli", "key", "flags", "description");
   for (const OrderingProvider* p : OrderingRegistry::Instance().all()) {
     std::string caps;
@@ -1357,7 +1306,7 @@ int CmdMutate(const Flags& flags) {
   return CmdMutateLocal(flags, std::move(ops));
 }
 
-int CmdVersion() {
+int CmdVersion(const Flags& /*flags*/) {
   const BuildInfo& info = GetBuildInfo();
   std::printf("%s\n", BuildInfoSummary());
   std::printf("  flags: %s\n", info.flags);
@@ -1433,20 +1382,70 @@ int Usage() {
   return 2;
 }
 
-int RunCommand(const std::string& cmd, const Flags& flags) {
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "count") return CmdCount(flags);
-  if (cmd == "run") return CmdRun(flags);
-  if (cmd == "model") return CmdModel(flags);
-  if (cmd == "orders") return CmdOrders();
-  if (cmd == "advise") return CmdAdvise(flags);
-  if (cmd == "convert") return CmdConvert(flags);
-  if (cmd == "info") return CmdInfo(flags);
-  if (cmd == "serve") return CmdServe(flags);
-  if (cmd == "query") return CmdQuery(flags);
-  if (cmd == "mutate") return CmdMutate(flags);
-  if (cmd == "version" || cmd == "--version") return CmdVersion();
-  return Usage();
+/// One subcommand: its handler and the flags it accepts.
+struct Command {
+  int (*run)(const Flags&);
+  std::vector<FlagSpec> flags;
+};
+
+/// Every subcommand, the one list main() dispatches through. Flags parses
+/// argv against the command's row before its handler runs, so a
+/// misspelled flag (`--thread 8`) is a usage error rather than a silent
+/// default.
+const std::map<std::string, Command>& CommandTable() {
+  static const std::map<std::string, Command> kTable = {
+      {"generate",
+       {CmdGenerate,
+        {{"n", false}, {"alpha", false}, {"trunc", false}, {"seed", false},
+         {"out", false}}}},
+      {"count",
+       {CmdCount,
+        {{"in", false}, {"method", false}, {"order", false}, {"seed", false},
+         {"threads", false}, {"intersect", false},
+         {"bitmap-min-degree", false}, {"mem-budget", false}}}},
+      {"run",
+       {CmdRun,
+        {{"in", false}, {"n", false}, {"alpha", false}, {"trunc", false},
+         {"gen", false}, {"methods", false}, {"method", false},
+         {"order", false}, {"seed", false}, {"threads", false},
+         {"repeats", false}, {"intersect", false},
+         {"bitmap-min-degree", false}, {"report", false}, {"trace", false},
+         {"metrics", false}, {"degree-profile", true},
+         {"mem-budget", false}}}},
+      {"model",
+       {CmdModel,
+        {{"alpha", false}, {"n", false}, {"trunc", false}, {"method", false},
+         {"order", false}, {"eps", false}}}},
+      {"orders", {CmdOrders, {}}},
+      {"advise", {CmdAdvise, {{"alpha", false}, {"speedup", false}}}},
+      {"convert",
+       {CmdConvert,
+        {{"in", false}, {"out", false}, {"orders", false}, {"seed", false},
+         {"threads", false}, {"mem-budget", false}, {"tmpdir", false},
+         {"io-workers", false}, {"no-direct-io", true}, {"report", false}}}},
+      {"info", {CmdInfo, {{"in", false}}}},
+      {"serve",
+       {CmdServe,
+        {{"tcp", false}, {"host", false}, {"unix", false}, {"graphs", false},
+         {"graph", false}, {"workers", false}, {"queue", false},
+         {"catalog", false}, {"sjf", true}, {"max-threads", false},
+         {"send-timeout", false}, {"paged", true}}}},
+      {"query",
+       {CmdQuery,
+        {{"connect", false}, {"unix", false}, {"graph", false},
+         {"methods", false}, {"order", false}, {"seed", false},
+         {"threads", false}, {"repeats", false}, {"report", true},
+         {"stats", true}}}},
+      {"mutate",
+       {CmdMutate,
+        {{"connect", false}, {"unix", false}, {"graph", false},
+         {"add", false}, {"del", false}, {"ops-file", false}, {"log", false},
+         {"batch", false}, {"in", false}, {"out", false}, {"threads", false},
+         {"verify", true}}}},
+      {"version", {CmdVersion, {}}},
+      {"--version", {CmdVersion, {}}},
+  };
+  return kTable;
 }
 
 }  // namespace
@@ -1454,12 +1453,12 @@ int RunCommand(const std::string& cmd, const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
-  const auto& table = CommandFlagTable();
-  const auto accepted = table.find(cmd);
-  if (accepted == table.end()) return Usage();
+  const auto& table = CommandTable();
+  const auto command = table.find(cmd);
+  if (command == table.end()) return Usage();
   try {
-    const Flags flags(argc, argv, accepted->second);
-    return RunCommand(cmd, flags);
+    const Flags flags(argc, argv, command->second.flags);
+    return command->second.run(flags);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.message.c_str());
     return Usage();
