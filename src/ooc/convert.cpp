@@ -227,6 +227,7 @@ std::string OocReport::ToJson() const {
   w.FieldDouble("merge", merge_seconds);
   w.FieldDouble("write", write_seconds);
   w.FieldDouble("orient", orient_seconds);
+  w.FieldDouble("sync", sync_seconds);
   w.FieldDouble("total", total_seconds);
   w.EndObject();
   w.EndObject();
@@ -612,8 +613,12 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
     report.spill_bytes += out_sorter.stats().spilled_bytes +
                           in_sorter.stats().spilled_bytes;
   }
-  TRILIST_RETURN_NOT_OK(writer.Finish());
   report.orient_seconds = SecondsSince(t_orient);
+
+  // ---- Stage 5: directory, header and fsync ------------------------
+  const auto t_sync = steady_clock::now();
+  TRILIST_RETURN_NOT_OK(writer.Finish());
+  report.sync_seconds = SecondsSince(t_sync);
 
   struct stat out_st;
   if (::stat(output_path.c_str(), &out_st) == 0) {

@@ -41,6 +41,9 @@
 ///                merged streams are the oriented CSR rows. Every
 ///                PermutationKind except kDegenerate (which needs the
 ///                whole graph for its core decomposition) is supported.
+///   5. sync    — TlgStreamWriter::Finish writes the directory (with the
+///                CRCs folded in as bytes were appended) and the header,
+///                then fsyncs the file.
 ///
 /// Output is byte-identical to Graph::FromEdges + WriteTlgFile on the
 /// same input: same sections, same payloads, same CRCs. The one semantic
@@ -99,6 +102,9 @@ struct OocReport {
   double merge_seconds = 0;
   double write_seconds = 0;
   double orient_seconds = 0;
+  /// TlgStreamWriter::Finish: the directory and header write plus the
+  /// fsync of the whole file, kept out of orient_seconds.
+  double sync_seconds = 0;
   double total_seconds = 0;
 
   /// Serializes the report as a JSON object (for `convert --report`).

@@ -1,5 +1,6 @@
 #include "src/util/cpu_features.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -24,10 +25,10 @@ SimdLevel ParseLevel(const char* name, SimdLevel fallback) {
   return fallback;
 }
 
-// The active level is mutable only through SetActiveSimdLevelForTest;
-// kernel dispatch reads it as a plain load.
-SimdLevel g_active = SimdLevel::kScalar;
-bool g_active_resolved = false;
+// SetActiveSimdLevelForTest's level, or -1 for the env-resolved one.
+// Atomic because kernels and CRCs read the level from worker threads; a
+// relaxed load is a plain load.
+std::atomic<int> g_test_level{-1};
 
 }  // namespace
 
@@ -59,20 +60,17 @@ SimdLevel ResolveSimdLevel(SimdLevel detected, const char* force_scalar,
 }
 
 SimdLevel ActiveSimdLevel() {
-  if (!g_active_resolved) {
-    g_active =
-        ResolveSimdLevel(DetectedSimdLevel(),
-                         std::getenv("TRILIST_FORCE_SCALAR"),
-                         std::getenv("TRILIST_SIMD"));
-    g_active_resolved = true;
-  }
-  return g_active;
+  static const SimdLevel resolved = ResolveSimdLevel(
+      DetectedSimdLevel(), std::getenv("TRILIST_FORCE_SCALAR"),
+      std::getenv("TRILIST_SIMD"));
+  const int test_level = g_test_level.load(std::memory_order_relaxed);
+  return test_level < 0 ? resolved : static_cast<SimdLevel>(test_level);
 }
 
 void SetActiveSimdLevelForTest(SimdLevel level) {
   SimdLevel detected = DetectedSimdLevel();
-  g_active = level < detected ? level : detected;
-  g_active_resolved = true;
+  g_test_level.store(static_cast<int>(level < detected ? level : detected),
+                     std::memory_order_relaxed);
 }
 
 }  // namespace trilist

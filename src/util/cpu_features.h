@@ -32,7 +32,8 @@ SimdLevel DetectedSimdLevel();
 
 /// The level the kernels actually dispatch to: DetectedSimdLevel()
 /// narrowed by the TRILIST_FORCE_SCALAR / TRILIST_SIMD environment
-/// overrides. Cached after the first call (the envs are read once).
+/// overrides. Cached after the first call (the envs are read once); safe
+/// to call from any thread.
 SimdLevel ActiveSimdLevel();
 
 /// Pure resolution rule behind ActiveSimdLevel, exposed for unit tests:
@@ -43,9 +44,8 @@ SimdLevel ResolveSimdLevel(SimdLevel detected, const char* force_scalar,
                            const char* simd);
 
 /// Test-only override of ActiveSimdLevel (clamped to the detected level);
-/// pass the detected level to restore normal resolution. Not thread-safe
-/// against concurrent kernel dispatch — call from single-threaded test
-/// setup only.
+/// pass the detected level to restore normal resolution. Dispatch reads
+/// the level per call, so switch it from single-threaded test setup only.
 void SetActiveSimdLevelForTest(SimdLevel level);
 
 }  // namespace trilist

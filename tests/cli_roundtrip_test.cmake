@@ -275,6 +275,28 @@ foreach(bad_args "--thread;8" "--methodz;E1" "stray")
   endif()
 endforeach()
 
+# The usage text is printed from the command table, so every row of
+# CommandTable in the CLI source must show up in it as its own line.
+file(READ "${CLI_SOURCE}" cli_source)
+string(REGEX MATCHALL "\n      {\"[-a-z]+\", Cmd" table_rows "${cli_source}")
+list(LENGTH table_rows num_commands)
+if(num_commands LESS 12)
+  message(FATAL_ERROR "found ${num_commands} CommandTable rows in "
+                      "${CLI_SOURCE}; the row pattern no longer matches")
+endif()
+execute_process(COMMAND "${CLI}" RESULT_VARIABLE usage_result
+                OUTPUT_VARIABLE usage_out ERROR_VARIABLE usage_err)
+if(NOT usage_result EQUAL 2)
+  message(FATAL_ERROR "bare trilist_cli: exit ${usage_result}, want 2")
+endif()
+foreach(row ${table_rows})
+  string(REGEX REPLACE "^.*{\"([-a-z]+)\".*$" "\\1" command "${row}")
+  string(FIND "${usage_err}" "\n  ${command} " listed)
+  if(listed EQUAL -1)
+    message(FATAL_ERROR "usage does not list '${command}': ${usage_err}")
+  endif()
+endforeach()
+
 # A paged open checks every offsets array before any kernel forms a row
 # span from it. The checked-in container's orientation out_offsets[n] is
 # forged; the paged count must fail with the typed error, not abort.

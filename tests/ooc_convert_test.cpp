@@ -127,6 +127,14 @@ TEST(OocConvertTest, ByteIdenticalToInMemoryPipeline) {
   EXPECT_GT(report->input_bytes, 0);
   EXPECT_GT(report->output_bytes, 0);
   EXPECT_EQ(report->ingest.num_edges, ingested->stats.num_edges);
+  // Finish (directory, header, fsync) is its own stage: inside the
+  // total, outside orient.
+  EXPECT_GT(report->sync_seconds, 0);
+  EXPECT_LE(report->parse_seconds + report->merge_seconds +
+                report->write_seconds + report->orient_seconds +
+                report->sync_seconds,
+            report->total_seconds);
+  EXPECT_NE(report->ToJson().find("\"sync\":"), std::string::npos);
 }
 
 TEST(OocConvertTest, DirtyInputStatsMatchInMemoryIngester) {

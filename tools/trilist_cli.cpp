@@ -10,8 +10,9 @@
 /// "all hardware threads", and results are bit-identical to the serial
 /// run for any value.
 ///
-/// Each subcommand declares the flags it accepts (CommandTable): an
-/// undeclared flag, a misspelling such as `--thread`, or a stray word
+/// Each subcommand declares its synopsis and the flags it accepts in one
+/// row of CommandTable, and the usage text is printed from that table:
+/// an undeclared flag, a misspelling such as `--thread`, or a stray word
 /// exits 2 with the usage text instead of being ignored.
 ///
 ///   trilist_cli generate --n N --alpha A [--trunc root|linear]
@@ -182,8 +183,10 @@ struct UsageError {
 
 /// One flag a subcommand accepts.
 struct FlagSpec {
-  const char* name;  ///< Without the leading "--".
-  bool switch_only;  ///< A bare switch (`--verify`): it takes no value.
+  const char* name;   ///< Without the leading "--".
+  const char* value;  ///< Usage placeholder for its value (`N`,
+                      ///< `root|linear`); null for a bare switch
+                      ///< (`--verify`) that takes no value.
 };
 
 /// `--key value` pairs plus bare switches, checked against one
@@ -213,7 +216,7 @@ class Flags {
                          "' (accepted:" +
                          (known.empty() ? " none" : known) + ")"};
       }
-      if (!spec->switch_only && i + 1 < argc &&
+      if (spec->value != nullptr && i + 1 < argc &&
           std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[i + 1];
         i += 2;
@@ -739,8 +742,8 @@ int CmdConvert(const Flags& flags) {
           "  budget %llu bytes (%s), %zu cached orientation%s\n"
           "  spill: %lld runs, %lld bytes; csr temp %lld bytes; "
           "output %lld bytes\n"
-          "  stages: parse %.2fs, merge %.2fs, write %.2fs, orient %.2fs "
-          "(total %.2fs)\n",
+          "  stages: parse %.2fs, merge %.2fs, write %.2fs, orient %.2fs, "
+          "sync %.2fs (total %.2fs)\n",
           out.c_str(), report->ingest.Summary().c_str(),
           static_cast<unsigned long long>(budget),
           report->direct_io ? "O_DIRECT" : "buffered",
@@ -752,7 +755,7 @@ int CmdConvert(const Flags& flags) {
           static_cast<long long>(report->output_bytes),
           report->parse_seconds, report->merge_seconds,
           report->write_seconds, report->orient_seconds,
-          report->total_seconds);
+          report->sync_seconds, report->total_seconds);
     }
     return 0;
   }
@@ -1317,135 +1320,115 @@ int CmdVersion(const Flags& /*flags*/) {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: trilist_cli "
-      "<generate|count|run|model|orders|advise|convert|info|serve|query|"
-      "mutate|version> [--flag value]...\n"
-      "  generate --n N --alpha A [--trunc root|linear] [--seed S] --out F\n"
-      "  count    --in F [--method T1..L6|auto] [--order O|auto]\n"
-      "           (orders: D|A|RR|CRR|U|degen|aot|split; see `orders`;\n"
-      "            auto = pick the min-predicted-cost plan, Section 3)\n"
-      "           [--threads N]   (N > 1: parallel engine; 0 = hardware)\n"
-      "           [--intersect merge|gallop|auto|simd|bitmap]\n"
-      "           [--mem-budget SIZE]   (e.g. 64M; E1/E2 run partitioned\n"
-      "            under the budget; .tlg inputs demand-page + evict)\n"
-      "           (--in accepts text edge lists or .tlg containers)\n"
-      "  run      [--in F | --n N --alpha A [--trunc root|linear]\n"
-      "           [--gen residual|config|gnp]]\n"
-      "           [--methods M1,M2,...|all|fundamental|auto] [--order O|auto]\n"
-      "           [--seed S] [--threads N] [--repeats R]\n"
-      "           [--intersect merge|gallop|auto|simd|bitmap]\n"
-      "           (with --methods/--order auto, --intersect auto joins the\n"
-      "            planner; the report's \"plan\" object audits the choice)\n"
-      "           [--bitmap-min-degree D]   (0 = auto max(64, n/64))\n"
-      "           [--report table|json] [--trace F.json] [--metrics F.prom]\n"
-      "           [--degree-profile] [--mem-budget SIZE]\n"
-      "           (--trace: Chrome/Perfetto span trace of the pipeline;\n"
-      "            --metrics: Prometheus text exposition of the report;\n"
-      "            --degree-profile: per-log2-degree-bucket measured ops\n"
-      "            vs the model's g(d)h(q) with relative residuals)\n"
-      "  model    --alpha A [--n N] [--trunc ...] [--method M] [--order O]\n"
-      "  orders   (list registered orderings: keys, flags, descriptions)\n"
-      "  advise   --alpha A [--speedup X]\n"
-      "  convert  --in F --out F [--orders D,RR,...] [--seed S]\n"
-      "           [--threads N]   (--out *.tlg = binary, else text)\n"
-      "           [--mem-budget SIZE [--tmpdir DIR] [--io-workers N]\n"
-      "            [--no-direct-io] [--report json]]\n"
-      "           (--mem-budget: out-of-core text -> .tlg conversion;\n"
-      "            external edge sort spills to --tmpdir, peak memory\n"
-      "            stays under the budget for any graph size)\n"
-      "  info     --in F.tlg   (describes the on-disk snapshot; a served\n"
-      "           graph's live epoch/overlay state is in `query --stats`)\n"
-      "  serve    [--tcp PORT] [--host H] [--unix PATH] [--graphs DIR]\n"
-      "           [--graph name=path[,...]] [--workers N] [--queue N]\n"
-      "           [--catalog N] [--sjf] [--max-threads N] [--send-timeout SEC]\n"
-      "           [--paged]   (demand-page .tlg graphs instead of eager\n"
-      "            load + CRC sweep; for catalogs larger than RAM)\n"
-      "           (trilistd: the triangle-query daemon; --tcp 0 binds an\n"
-      "            ephemeral port; SIGTERM drains gracefully)\n"
-      "  query    (--connect HOST:PORT | --unix PATH) --graph NAME\n"
-      "           [--methods ...] [--order O] [--seed S] [--threads N]\n"
-      "           [--repeats R] [--report] [--stats]\n"
-      "  mutate   (--connect HOST:PORT | --unix PATH) --graph NAME\n"
-      "           [--add u:v[,u:v...]] [--del u:v[,...]] [--ops-file F]\n"
-      "           [--batch N]   (remote: batched edge inserts/deletes;\n"
-      "            each batch publishes a new epoch, count stays exact)\n"
-      "       or  --in GRAPH --log F [--verify] [--out F.tlg]\n"
-      "           [--batch N] [--threads N]\n"
-      "           (local: replay a mutation log incrementally; --verify\n"
-      "            recounts from scratch with T1+T2 and byte-compares a\n"
-      "            compaction against a fresh convert — exit 1 on any\n"
-      "            divergence)\n"
-      "  version  (build provenance: version, git hash, compiler, flags)\n");
-  return 2;
-}
-
-/// One subcommand: its handler and the flags it accepts.
+/// One subcommand: its name, handler, one-line synopsis and the flags
+/// it accepts.
 struct Command {
+  const char* name;
   int (*run)(const Flags&);
+  const char* synopsis;
   std::vector<FlagSpec> flags;
 };
 
-/// Every subcommand, the one list main() dispatches through. Flags parses
-/// argv against the command's row before its handler runs, so a
-/// misspelled flag (`--thread 8`) is a usage error rather than a silent
-/// default.
-const std::map<std::string, Command>& CommandTable() {
-  static const std::map<std::string, Command> kTable = {
-      {"generate",
-       {CmdGenerate,
-        {{"n", false}, {"alpha", false}, {"trunc", false}, {"seed", false},
-         {"out", false}}}},
-      {"count",
-       {CmdCount,
-        {{"in", false}, {"method", false}, {"order", false}, {"seed", false},
-         {"threads", false}, {"intersect", false},
-         {"bitmap-min-degree", false}, {"mem-budget", false}}}},
-      {"run",
-       {CmdRun,
-        {{"in", false}, {"n", false}, {"alpha", false}, {"trunc", false},
-         {"gen", false}, {"methods", false}, {"method", false},
-         {"order", false}, {"seed", false}, {"threads", false},
-         {"repeats", false}, {"intersect", false},
-         {"bitmap-min-degree", false}, {"report", false}, {"trace", false},
-         {"metrics", false}, {"degree-profile", true},
-         {"mem-budget", false}}}},
-      {"model",
-       {CmdModel,
-        {{"alpha", false}, {"n", false}, {"trunc", false}, {"method", false},
-         {"order", false}, {"eps", false}}}},
-      {"orders", {CmdOrders, {}}},
-      {"advise", {CmdAdvise, {{"alpha", false}, {"speedup", false}}}},
-      {"convert",
-       {CmdConvert,
-        {{"in", false}, {"out", false}, {"orders", false}, {"seed", false},
-         {"threads", false}, {"mem-budget", false}, {"tmpdir", false},
-         {"io-workers", false}, {"no-direct-io", true}, {"report", false}}}},
-      {"info", {CmdInfo, {{"in", false}}}},
-      {"serve",
-       {CmdServe,
-        {{"tcp", false}, {"host", false}, {"unix", false}, {"graphs", false},
-         {"graph", false}, {"workers", false}, {"queue", false},
-         {"catalog", false}, {"sjf", true}, {"max-threads", false},
-         {"send-timeout", false}, {"paged", true}}}},
-      {"query",
-       {CmdQuery,
-        {{"connect", false}, {"unix", false}, {"graph", false},
-         {"methods", false}, {"order", false}, {"seed", false},
-         {"threads", false}, {"repeats", false}, {"report", true},
-         {"stats", true}}}},
-      {"mutate",
-       {CmdMutate,
-        {{"connect", false}, {"unix", false}, {"graph", false},
-         {"add", false}, {"del", false}, {"ops-file", false}, {"log", false},
-         {"batch", false}, {"in", false}, {"out", false}, {"threads", false},
-         {"verify", true}}}},
-      {"version", {CmdVersion, {}}},
-      {"--version", {CmdVersion, {}}},
+/// Every subcommand, the one list main() dispatches through and Usage()
+/// prints, in usage order. Flags parses argv against the command's row
+/// before its handler runs, so a misspelled flag (`--thread 8`) is a
+/// usage error rather than a silent default.
+const std::vector<Command>& CommandTable() {
+  static const std::vector<Command> kTable = {
+      {"generate", CmdGenerate,
+       "sample a truncated-Pareto graph and write it as an edge list",
+       {{"n", "N"}, {"alpha", "A"}, {"trunc", "root|linear"},
+        {"seed", "S"}, {"out", "F"}}},
+      {"count", CmdCount,
+       "list the triangles of a text or .tlg graph with one method",
+       {{"in", "F"}, {"method", "T1..L6|auto"}, {"order", "O|auto"},
+        {"seed", "S"}, {"threads", "N"},
+        {"intersect", "merge|gallop|auto|simd|bitmap"},
+        {"bitmap-min-degree", "D"}, {"mem-budget", "SIZE"}}},
+      {"run", CmdRun,
+       "run any method set; report stage walls, ops, trace and metrics",
+       {{"in", "F"}, {"n", "N"}, {"alpha", "A"}, {"trunc", "root|linear"},
+        {"gen", "residual|config|gnp"},
+        {"methods", "M1,M2,...|all|fundamental|auto"}, {"method", "M"},
+        {"order", "O|auto"}, {"seed", "S"}, {"threads", "N"},
+        {"repeats", "R"}, {"intersect", "merge|gallop|auto|simd|bitmap"},
+        {"bitmap-min-degree", "D"}, {"report", "table|json"},
+        {"trace", "F.json"}, {"metrics", "F.prom"},
+        {"degree-profile", nullptr}, {"mem-budget", "SIZE"}}},
+      {"model", CmdModel,
+       "evaluate the Section-3 cost model at n and in the limit",
+       {{"alpha", "A"}, {"n", "N"}, {"trunc", "root|linear"},
+        {"method", "M"}, {"order", "O"}, {"eps", "E"}}},
+      {"orders", CmdOrders,
+       "list the registered orderings: keys, flags, descriptions", {}},
+      {"advise", CmdAdvise,
+       "recommend a method and ordering for a Pareto graph family",
+       {{"alpha", "A"}, {"speedup", "X"}}},
+      {"convert", CmdConvert,
+       "text <-> .tlg (--out *.tlg = binary); --mem-budget: out-of-core",
+       {{"in", "F"}, {"out", "F"}, {"orders", "D,RR,..."}, {"seed", "S"},
+        {"threads", "N"}, {"mem-budget", "SIZE"}, {"tmpdir", "DIR"},
+        {"io-workers", "N"}, {"no-direct-io", nullptr},
+        {"report", "json"}}},
+      {"info", CmdInfo,
+       "describe a .tlg container: sections and cached orientations",
+       {{"in", "F.tlg"}}},
+      {"serve", CmdServe,
+       "run trilistd, the triangle-query daemon (SIGTERM drains)",
+       {{"tcp", "PORT"}, {"host", "H"}, {"unix", "PATH"},
+        {"graphs", "DIR"}, {"graph", "name=path[,...]"},
+        {"workers", "N"}, {"queue", "N"}, {"catalog", "N"},
+        {"sjf", nullptr}, {"max-threads", "N"}, {"send-timeout", "SEC"},
+        {"paged", nullptr}}},
+      {"query", CmdQuery,
+       "one round trip against a running daemon (--connect or --unix)",
+       {{"connect", "HOST:PORT"}, {"unix", "PATH"}, {"graph", "NAME"},
+        {"methods", "M1,M2,..."}, {"order", "O"}, {"seed", "S"},
+        {"threads", "N"}, {"repeats", "R"}, {"report", nullptr},
+        {"stats", nullptr}}},
+      {"mutate", CmdMutate,
+       "edge batches to a daemon, or --in --log: replay a log locally",
+       {{"connect", "HOST:PORT"}, {"unix", "PATH"}, {"graph", "NAME"},
+        {"add", "u:v[,...]"}, {"del", "u:v[,...]"}, {"ops-file", "F"},
+        {"log", "F"}, {"batch", "N"}, {"in", "F"}, {"out", "F.tlg"},
+        {"threads", "N"}, {"verify", nullptr}}},
+      {"version", CmdVersion,
+       "build provenance: version, git hash, compiler, flags, SIMD", {}},
+      {"--version", CmdVersion, "same as version", {}},
   };
   return kTable;
+}
+
+/// Prints the usage block from CommandTable: each command's synopsis,
+/// then its accepted flags wrapped under it. Returns the exit status 2.
+int Usage() {
+  constexpr size_t kIndent = 13;
+  constexpr size_t kWidth = 79;
+  std::string text = "usage: trilist_cli <command> [--flag value]...\n";
+  for (const Command& command : CommandTable()) {
+    std::string line = std::string("  ") + command.name;
+    line.append(line.size() < kIndent ? kIndent - line.size() : 1, ' ');
+    text += line + command.synopsis + "\n";
+    line.assign(kIndent, ' ');
+    for (const FlagSpec& flag : command.flags) {
+      std::string item = std::string("[--") + flag.name;
+      if (flag.value != nullptr) item += std::string(" ") + flag.value;
+      item += "]";
+      if (line.size() > kIndent && line.size() + 1 + item.size() > kWidth) {
+        text += line + "\n";
+        line.assign(kIndent, ' ');
+      }
+      if (line.size() > kIndent) line += ' ';
+      line += item;
+    }
+    if (line.size() > kIndent) text += line + "\n";
+  }
+  text +=
+      "--threads 0 = all hardware threads; SIZE = bytes with a K/M/G or "
+      "KiB/MiB/GiB\nsuffix; --in takes a text edge list or a .tlg "
+      "container (detected by magic).\n";
+  std::fputs(text.c_str(), stderr);
+  return 2;
 }
 
 }  // namespace
@@ -1454,11 +1437,13 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   const auto& table = CommandTable();
-  const auto command = table.find(cmd);
+  const auto command =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return cmd == c.name; });
   if (command == table.end()) return Usage();
   try {
-    const Flags flags(argc, argv, command->second.flags);
-    return command->second.run(flags);
+    const Flags flags(argc, argv, command->flags);
+    return command->run(flags);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.message.c_str());
     return Usage();
